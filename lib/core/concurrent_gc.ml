@@ -159,24 +159,6 @@ let dirty (st : Ctx.conc_state) (m : Ctx.mutator) =
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let record_barrier_wait ctx (m : Ctx.mutator) ~cause ~t_from ~t_to =
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_from
-    (Obs.Event.Coll_begin { kind = Barrier; cause });
-  Gc_trace.record ctx.Ctx.trace
-    {
-      Gc_trace.vproc = m.Ctx.id;
-      kind = Gc_trace.Barrier;
-      cause;
-      node = m.Ctx.node;
-      t_start_ns = t_from;
-      t_end_ns = t_to;
-      bytes = 0;
-    };
-  Metrics.record_pause ~cause ~t_ns:t_to ctx.Ctx.metrics ~vproc:m.Ctx.id
-    ~kind:Gc_trace.Barrier ~ns:(t_to -. t_from) ~bytes:0;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_to
-    (Obs.Event.Coll_end { kind = Barrier; cause; bytes = 0 })
-
 (* One finished slice on [m]: a Global begin/end pair (so the pause
    distributions and gcprof see each slice as its own bounded pause)
    plus Conc_phase duration events for per-phase attribution.  The
@@ -185,8 +167,7 @@ let record_barrier_wait ctx (m : Ctx.mutator) ~cause ~t_from ~t_to =
 let record_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~t_start
     ~phases ~bytes =
   let cause = st.Ctx.cg_cause in
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_start
-    (Obs.Event.Coll_begin { kind = Global; cause });
+  Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:t_start;
   List.iter
     (fun (phase, dur_ns) ->
       if dur_ns > 0. then
@@ -198,22 +179,8 @@ let record_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~t_start
                dur_ns = int_of_float dur_ns;
              }))
     phases;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-    (Obs.Event.Coll_end { kind = Global; cause; bytes });
-  Gc_trace.record ctx.Ctx.trace
-    {
-      Gc_trace.vproc = m.Ctx.id;
-      kind = Gc_trace.Global;
-      cause;
-      node = m.Ctx.node;
-      t_start_ns = t_start;
-      t_end_ns = m.Ctx.now_ns;
-      bytes;
-    };
-  Metrics.record_pause ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics ~vproc:m.Ctx.id
-    ~kind:Gc_trace.Global
-    ~ns:(m.Ctx.now_ns -. t_start)
-    ~bytes
+  Ctx.coll_end ~count_cause:false ctx m Gc_trace.Global ~cause ~t_start
+    ~t_end:m.Ctx.now_ns ~bytes
 
 (* ------------------------------------------------------------------ *)
 (* Slices                                                              *)
@@ -495,8 +462,7 @@ let ratify ctx (st : Ctx.conc_state) =
   let arrivals = Array.map (fun (m : Ctx.mutator) -> m.Ctx.now_ns) muts in
   let copied_before = Array.copy st.Ctx.cg_copied_by in
   iter_r (fun m ->
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Coll_begin { kind = Global; cause }));
+      Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:m.Ctx.now_ns);
   let t_sync =
     Array.fold_left
       (fun acc (m : Ctx.mutator) ->
@@ -523,8 +489,7 @@ let ratify ctx (st : Ctx.conc_state) =
           wait_ns = int_of_float (Float.max 0. (t_sync -. !t_min));
         }));
   iter_r (fun m ->
-      record_barrier_wait ctx m ~cause ~t_from:m.Ctx.now_ns ~t_to:t_sync;
-      m.Ctx.now_ns <- t_sync;
+      Ctx.barrier_wait ctx m ~cause ~t_to:t_sync;
       Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
       m.Ctx.in_gc <- true);
   (* With the dirty vprocs stopped, one pass suffices: the residual log
@@ -679,27 +644,12 @@ let ratify ctx (st : Ctx.conc_state) =
          dur_ns = int_of_float (Float.max 0. (t_exit -. t_sync));
        });
   iter_r (fun m ->
-      record_barrier_wait ctx m ~cause ~t_from:m.Ctx.now_ns ~t_to:t_exit;
-      m.Ctx.now_ns <- t_exit;
+      Ctx.barrier_wait ctx m ~cause ~t_to:t_exit;
       m.Ctx.in_gc <- false);
   iter_r (fun m ->
       let bytes = st.Ctx.cg_copied_by.(m.Ctx.id) - copied_before.(m.Ctx.id) in
-      Gc_trace.record ctx.Ctx.trace
-        {
-          Gc_trace.vproc = m.Ctx.id;
-          kind = Gc_trace.Global;
-          cause;
-          node = m.Ctx.node;
-          t_start_ns = arrivals.(m.Ctx.id);
-          t_end_ns = m.Ctx.now_ns;
-          bytes;
-        };
-      Metrics.record_pause ~cause ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics
-        ~vproc:m.Ctx.id ~kind:Gc_trace.Global
-        ~ns:(m.Ctx.now_ns -. arrivals.(m.Ctx.id))
-        ~bytes;
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Coll_end { kind = Global; cause; bytes }));
+      Ctx.coll_end ctx m Gc_trace.Global ~cause ~t_start:arrivals.(m.Ctx.id)
+        ~t_end:m.Ctx.now_ns ~bytes);
   Array.iter
     (fun (m : Ctx.mutator) ->
       Metrics.record_ratify ctx.Ctx.metrics ~vproc:m.Ctx.id
@@ -719,17 +669,8 @@ let ratify ctx (st : Ctx.conc_state) =
          dur_ns = int_of_float (lead.Ctx.now_ns -. st.Ctx.cg_t_start);
          slices = st.Ctx.cg_slices;
        });
-  let copied_total = Array.fold_left ( + ) 0 st.Ctx.cg_copied_by in
-  ctx.Ctx.stats.Gc_stats.global_count <-
-    ctx.Ctx.stats.Gc_stats.global_count + 1;
-  ctx.Ctx.stats.Gc_stats.global_copied_bytes <-
-    ctx.Ctx.stats.Gc_stats.global_copied_bytes + copied_total;
-  ctx.Ctx.global_gc_pending <- false;
-  let in_use = Global_heap.in_use_bytes ctx.Ctx.global in
-  if in_use * 3 / 2 > ctx.Ctx.global_budget_bytes then
-    Ctx.set_global_budget ctx (in_use * 2);
   ctx.Ctx.conc <- None;
-  Ctx.exit_collection ctx Gc_trace.Global;
+  Ctx.finish_global ctx ~copied_by:st.Ctx.cg_copied_by;
   if paranoid then begin
     match Ctx.check_invariants ctx with
     | Ok _ -> ()

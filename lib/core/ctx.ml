@@ -186,6 +186,70 @@ let iter_all_roots t f =
     t.muts;
   Roots.iter t.global_roots (fun c -> f ~vproc:None ~proxy:false c)
 
+(* The one reporting path: every collector span enters the flight
+   recorder, the live trace, the metrics and the per-vproc tallies here,
+   so no sink can see a collection the others miss or stamp it
+   differently. *)
+let coll_begin t (m : mutator) kind ~cause ~t_ns =
+  Obs.Recorder.record t.obs ~vproc:m.id ~t_ns
+    (Obs.Event.Coll_begin { kind; cause })
+
+let coll_end ?pause_ns ?(count_cause = true) t (m : mutator) kind ~cause ~t_start ~t_end
+    ~bytes =
+  let s = m.stats in
+  (match kind with
+  | Gc_trace.Minor ->
+      s.Gc_stats.minor_count <- s.Gc_stats.minor_count + 1;
+      s.Gc_stats.minor_copied_bytes <- s.Gc_stats.minor_copied_bytes + bytes
+  | Gc_trace.Major ->
+      s.Gc_stats.major_count <- s.Gc_stats.major_count + 1;
+      s.Gc_stats.major_copied_bytes <- s.Gc_stats.major_copied_bytes + bytes
+  | Gc_trace.Promotion ->
+      s.Gc_stats.promote_count <- s.Gc_stats.promote_count + 1;
+      s.Gc_stats.promoted_bytes <- s.Gc_stats.promoted_bytes + bytes
+  | Gc_trace.Global | Gc_trace.Barrier -> ());
+  if Gc_trace.enabled t.trace then
+    Gc_trace.record t.trace
+      {
+        Gc_trace.vproc = m.id;
+        kind;
+        cause;
+        node = m.node;
+        t_start_ns = t_start;
+        t_end_ns = t_end;
+        bytes;
+      };
+  let ns = match pause_ns with Some ns -> ns | None -> t_end -. t_start in
+  Metrics.record_pause
+    ?cause:(if count_cause then Some cause else None)
+    ~t_ns:t_end t.metrics ~vproc:m.id ~kind ~ns ~bytes;
+  Obs.Recorder.record t.obs ~vproc:m.id ~t_ns:t_end
+    (Obs.Event.Coll_end { kind; cause; bytes })
+
+(* [m] idles at a synchronization point until [t_to]: the gap is its own
+   pause kind, nested inside the enclosing Global span, so wait and copy
+   time stay apart. *)
+let barrier_wait t (m : mutator) ~cause ~t_to =
+  let t_from = m.now_ns in
+  coll_begin t m Gc_trace.Barrier ~cause ~t_ns:t_from;
+  m.now_ns <- t_to;
+  coll_end t m Gc_trace.Barrier ~cause ~t_start:t_from ~t_end:t_to ~bytes:0
+
+(* The tail every global collection shares, STW or concurrent. *)
+let finish_global t ~copied_by =
+  (* [t.stats] is the whole-system tally and the per-mutator stats are a
+     partition of the same copies: never add the two together. *)
+  t.stats.Gc_stats.global_count <- t.stats.Gc_stats.global_count + 1;
+  t.stats.Gc_stats.global_copied_bytes <-
+    t.stats.Gc_stats.global_copied_bytes + Array.fold_left ( + ) 0 copied_by;
+  t.global_gc_pending <- false;
+  (* If live data alone exceeds the budget, grow it: a fixed threshold
+     would retrigger at once and thrash. *)
+  let in_use = Global_heap.in_use_bytes t.global in
+  if in_use * 3 / 2 > t.global_budget_bytes then
+    t.global_budget_bytes <- in_use * 2;
+  exit_collection t Gc_trace.Global
+
 let charge_ns m ns =
   m.now_ns <- m.now_ns +. ns;
   if m.in_gc then m.stats.Gc_stats.gc_ns <- m.stats.Gc_stats.gc_ns +. ns

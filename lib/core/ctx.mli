@@ -161,6 +161,49 @@ val iter_all_roots :
     proxy cells ([vproc = Some id]) and the context-wide global roots
     ([vproc = None]).  Uncharged; intended for checkers. *)
 
+(** {2 Collection reporting}
+
+    Every collector span is reported through these calls and nowhere
+    else: the flight recorder ({!field-obs}) holds the begin/end events,
+    and the live trace, the metrics and the per-vproc {!Gc_stats} are
+    fed from {!coll_end}, so each sink sees the same spans. *)
+
+val coll_begin :
+  t -> mutator -> Gc_trace.kind -> cause:Obs.Gc_cause.t -> t_ns:float -> unit
+(** Record the [Coll_begin] of a span on [m] at virtual time [t_ns]. *)
+
+val coll_end :
+  ?pause_ns:float ->
+  ?count_cause:bool ->
+  t ->
+  mutator ->
+  Gc_trace.kind ->
+  cause:Obs.Gc_cause.t ->
+  t_start:float ->
+  t_end:float ->
+  bytes:int ->
+  unit
+(** Close a span on [m] that ran from [t_start] to [t_end] and copied
+    [bytes]: bump [m]'s {!Gc_stats} count and bytes for a minor, major
+    or promotion; add a {!Gc_trace} event when tracing is on; record the
+    pause in {!Metrics} (ending at [t_end]); record [Coll_end].
+    [pause_ns] (default [t_end -. t_start]) is the pause the metrics
+    record, for a span whose pause is not its extent: a batched
+    promotion's accrued copy time.  With [count_cause = false] the
+    metrics leave the span out of their per-cause counts (a concurrent
+    cycle counts its cause once, on its ratify spans, not per slice). *)
+
+val barrier_wait : t -> mutator -> cause:Obs.Gc_cause.t -> t_to:float -> unit
+(** [m] waits at a synchronization point: advance its clock to [t_to]
+    and report the gap as a [Barrier] span. *)
+
+val finish_global : t -> copied_by:int array -> unit
+(** The end of every global collection, STW or concurrent: count it and
+    its copied bytes ([copied_by] per vproc) in {!field-stats}, clear
+    {!field-global_gc_pending}, grow the global budget to twice the live
+    data when that data exceeds two thirds of it, and close the
+    {!enter_collection} bracket. *)
+
 (** {2 Charging} *)
 
 val charge_ns : mutator -> float -> unit

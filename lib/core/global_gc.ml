@@ -15,27 +15,6 @@ let leader ctx =
 let local_owner ctx addr =
   Heap_index.local_owner ctx.Ctx.store.Store.index addr
 
-(* A vproc waited at a synchronization point from [t_from] to [t_to]:
-   record the wait as its own pause kind (nested inside the enclosing
-   Global span) so gcprof can attribute wait vs copy time. *)
-let record_barrier_wait ctx (m : Ctx.mutator) ~cause ~t_from ~t_to =
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_from
-    (Obs.Event.Coll_begin { kind = Barrier; cause });
-  Gc_trace.record ctx.Ctx.trace
-    {
-      Gc_trace.vproc = m.Ctx.id;
-      kind = Gc_trace.Barrier;
-      cause;
-      node = m.Ctx.node;
-      t_start_ns = t_from;
-      t_end_ns = t_to;
-      bytes = 0;
-    };
-  Metrics.record_pause ~cause ~t_ns:t_to ctx.Ctx.metrics ~vproc:m.Ctx.id
-    ~kind:Gc_trace.Barrier ~ns:(t_to -. t_from) ~bytes:0;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_to
-    (Obs.Event.Coll_end { kind = Barrier; cause; bytes = 0 })
-
 let run ?(cause = Obs.Gc_cause.Forced) ctx =
   (* Stop-the-world collection over a half-evacuated heap would treat
      to-space as from-space and double-copy live data: the in-flight
@@ -59,8 +38,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   in
   Array.iter
     (fun (m : Ctx.mutator) ->
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Coll_begin { kind = Global; cause }))
+      Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:m.Ctx.now_ns)
     muts;
   phase Obs.Event.Entry;
   (* Entry: the leader sets the flag and signals; every vproc reaches its
@@ -79,11 +57,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   let t_entry =
     Array.fold_left (fun acc (m : Ctx.mutator) -> Float.max acc m.Ctx.now_ns) 0. muts
   in
-  Array.iter
-    (fun (m : Ctx.mutator) ->
-      record_barrier_wait ctx m ~cause ~t_from:m.Ctx.now_ns ~t_to:t_entry;
-      m.Ctx.now_ns <- t_entry)
-    muts;
+  Array.iter (fun m -> Ctx.barrier_wait ctx m ~cause ~t_to:t_entry) muts;
   phase Obs.Event.Roots;
   (* All in-use chunks become from-space (gathered per node for the
      affinity statistics the claim loop relies on). *)
@@ -249,46 +223,16 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   in
   Array.iter
     (fun (m : Ctx.mutator) ->
-      record_barrier_wait ctx m ~cause ~t_from:m.Ctx.now_ns ~t_to:t_exit;
-      m.Ctx.now_ns <- t_exit;
+      Ctx.barrier_wait ctx m ~cause ~t_to:t_exit;
       Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
       m.Ctx.in_gc <- false)
     muts;
   Array.iter
     (fun (m : Ctx.mutator) ->
-      Gc_trace.record ctx.Ctx.trace
-        {
-          Gc_trace.vproc = m.Ctx.id;
-          kind = Gc_trace.Global;
-          cause;
-          node = m.Ctx.node;
-          t_start_ns = t_start;
-          t_end_ns = m.Ctx.now_ns;
-          bytes = copied_by.(m.Ctx.id);
-        };
-      Metrics.record_pause ~cause ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics
-        ~vproc:m.Ctx.id ~kind:Gc_trace.Global
-        ~ns:(m.Ctx.now_ns -. t_start)
-        ~bytes:copied_by.(m.Ctx.id);
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Coll_end
-           { kind = Global; cause; bytes = copied_by.(m.Ctx.id) }))
+      Ctx.coll_end ctx m Gc_trace.Global ~cause ~t_start ~t_end:m.Ctx.now_ns
+        ~bytes:copied_by.(m.Ctx.id))
     muts;
-  (* ctx.stats is the whole-system tally and the per-mutator stats are a
-     partition of the same copies: ctx total == sum of mutator shares,
-     recorded once each.  Never add the two together (Gc_stats.total over
-     the mutators already yields this figure). *)
-  let copied_total = Array.fold_left ( + ) 0 copied_by in
-  ctx.Ctx.stats.Gc_stats.global_count <- ctx.Ctx.stats.Gc_stats.global_count + 1;
-  ctx.Ctx.stats.Gc_stats.global_copied_bytes <-
-    ctx.Ctx.stats.Gc_stats.global_copied_bytes + copied_total;
-  ctx.Ctx.global_gc_pending <- false;
-  (* If live data alone exceeds the configured budget, grow it — a fixed
-     threshold would retrigger immediately and thrash. *)
-  let in_use = Global_heap.in_use_bytes ctx.Ctx.global in
-  if in_use * 3 / 2 > ctx.Ctx.global_budget_bytes then
-    Ctx.set_global_budget ctx (in_use * 2);
-  Ctx.exit_collection ctx Gc_trace.Global
+  Ctx.finish_global ctx ~copied_by
 
 (* Paranoid validation after every global collection (set
    MANTICORE_PARANOID=1); used to localize heap corruption in tests. *)
