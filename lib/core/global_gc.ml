@@ -25,10 +25,9 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   let store = ctx.Ctx.store in
   let muts = ctx.Ctx.muts in
   let lead = leader ctx in
-  let t_start =
-    Array.fold_left (fun acc (m : Ctx.mutator) -> Float.min acc m.Ctx.now_ns)
-      infinity muts
-  in
+  (* Each vproc's Global span starts at its own arrival, not at the
+     earliest clock: time before it stopped was its own mutator work. *)
+  let arrivals = Array.map (fun (m : Ctx.mutator) -> m.Ctx.now_ns) muts in
   (* Phase transitions are recorded on the leader's ring: the phases are
      global, and one ring's worth of markers is enough to segment every
      vproc's events by time. *)
@@ -38,7 +37,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   in
   Array.iter
     (fun (m : Ctx.mutator) ->
-      Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:m.Ctx.now_ns)
+      Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:arrivals.(m.Ctx.id))
     muts;
   phase Obs.Event.Entry;
   (* Entry: the leader sets the flag and signals; every vproc reaches its
@@ -229,7 +228,8 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
     muts;
   Array.iter
     (fun (m : Ctx.mutator) ->
-      Ctx.coll_end ctx m Gc_trace.Global ~cause ~t_start ~t_end:m.Ctx.now_ns
+      Ctx.coll_end ctx m Gc_trace.Global ~cause
+        ~t_start:arrivals.(m.Ctx.id) ~t_end:m.Ctx.now_ns
         ~bytes:copied_by.(m.Ctx.id))
     muts;
   Ctx.finish_global ctx ~copied_by
