@@ -84,8 +84,7 @@ let run name machine_name threads policy_str global_mode_str global_budget
     s.Runtime.Sched.yields;
   if verbose then begin
     let g = o.Harness.Run_config.gc in
-    Format.printf "  @[<v2>collector:@,%a@,global collections: %d@]@."
-      Manticore_gc.Gc_stats.pp g o.Harness.Run_config.globals
+    Format.printf "  @[<v2>collector:@,%a@]@." Manticore_gc.Gc_stats.pp g
   end;
   if verbose then print_string (Harness.Run_config.metrics_block o);
   (if trace then Option.iter print_string o.Harness.Run_config.timeline);

@@ -54,7 +54,6 @@ type outcome = {
   elapsed_ns : float;
   gc : Gc_stats.t;
   sched : Runtime.Sched.stats;
-  globals : int;
   metrics : Metrics.t;
   obs : Obs.Recorder.t;
   timeline : string option;
@@ -88,12 +87,14 @@ let execute_with t run =
     Gc_stats.total
       (Array.init t.n_vprocs (fun i -> (Ctx.mutator ctx i).Ctx.stats))
   in
+  (* The per-vproc stats never count global collections; the context's
+     own tally does. *)
+  gc.Gc_stats.global_count <- ctx.Ctx.stats.Gc_stats.global_count;
   {
     checksum;
     elapsed_ns = Runtime.Sched.elapsed_ns rt;
     gc;
     sched = Runtime.Sched.stats rt;
-    globals = ctx.Ctx.stats.Gc_stats.global_count;
     metrics = ctx.Ctx.metrics;
     obs = ctx.Ctx.obs;
     timeline =
