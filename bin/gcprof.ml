@@ -85,52 +85,6 @@ let print_attribution r =
       (100 * attributed / total)
       total
 
-(* Pair Coll_begin/Coll_end per vproc (per-kind stacks handle the real
-   nesting: a major's prerequisite minor, entry collections inside a
-   global).  An end whose begin was overwritten, or a begin whose end is
-   past the dump, is an orphan and is skipped. *)
-let reconstruct r =
-  let tr = Trace.create () in
-  Trace.enable tr;
-  let orphans = ref 0 in
-  let recorded = ref [] in
-  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
-    let pending = Array.make (Array.length kinds) [] in
-    List.iter
-      (fun (_, t_ns, ev) ->
-        match ev with
-        | Event.Coll_begin { kind; _ } ->
-            let k = kind_index kind in
-            pending.(k) <- t_ns :: pending.(k)
-        | Event.Coll_end { kind; cause; bytes } -> (
-            let k = kind_index kind in
-            match pending.(k) with
-            | t0 :: rest ->
-                pending.(k) <- rest;
-                recorded :=
-                  {
-                    Trace.vproc = v;
-                    kind;
-                    cause;
-                    node = Obs.Recorder.node_of_vproc r v;
-                    t_start_ns = t0;
-                    t_end_ns = t_ns;
-                    bytes;
-                  }
-                  :: !recorded
-            | [] -> incr orphans)
-        | _ -> ())
-      (Obs.Recorder.events r ~vproc:v);
-    Array.iter (fun l -> orphans := !orphans + List.length l) pending
-  done;
-  let records =
-    List.sort
-      (fun a b -> compare a.Trace.t_start_ns b.Trace.t_start_ns)
-      !recorded
-  in
-  List.iter (Trace.record tr) records;
-  (tr, !orphans, records)
-
 let print_counters r =
   let attempts = ref 0
   and successes = ref 0
@@ -703,7 +657,8 @@ let main dump_path chrome tail partial cycles =
       print_newline ();
       print_attribution r;
       print_newline ();
-      let tr, orphans, colls = reconstruct r in
+      let tr, orphans = Trace.of_recorder r in
+      let colls = Trace.events tr in
       if orphans > 0 then
         Printf.printf
           "(%d begin/end orphans skipped: pair lost to ring overwrite or dump \

@@ -22,6 +22,47 @@ let record t e = if t.on then t.events <- e :: t.events
 let events t = List.rev t.events
 let clear t = t.events <- []
 
+(* Pair each vproc's Coll_begin/Coll_end events into spans.  Per-kind
+   stacks handle the real nesting: a major's prerequisite minor, the
+   entry collections inside a global.  An end whose begin was
+   overwritten, or a begin whose end is past the dump, is an orphan and
+   is skipped. *)
+let of_recorder r =
+  let orphans = ref 0 in
+  let spans = ref [] in
+  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
+    let pending = Hashtbl.create 5 in
+    let stack k = Option.value ~default:[] (Hashtbl.find_opt pending k) in
+    List.iter
+      (fun (_, t_ns, ev) ->
+        match ev with
+        | Obs.Event.Coll_begin { kind; _ } ->
+            Hashtbl.replace pending kind (t_ns :: stack kind)
+        | Obs.Event.Coll_end { kind; cause; bytes } -> (
+            match stack kind with
+            | t0 :: rest ->
+                Hashtbl.replace pending kind rest;
+                spans :=
+                  {
+                    vproc = v;
+                    kind;
+                    cause;
+                    node = Obs.Recorder.node_of_vproc r v;
+                    t_start_ns = t0;
+                    t_end_ns = t_ns;
+                    bytes;
+                  }
+                  :: !spans
+            | [] -> incr orphans)
+        | _ -> ())
+      (Obs.Recorder.events r ~vproc:v);
+    Hashtbl.iter (fun _ l -> orphans := !orphans + List.length l) pending
+  done;
+  let sorted =
+    List.sort (fun a b -> compare a.t_start_ns b.t_start_ns) !spans
+  in
+  ({ events = List.rev sorted; on = true }, !orphans)
+
 let kind_to_string = function
   | Minor -> "minor"
   | Major -> "major"

@@ -41,6 +41,13 @@ val events : t -> event list
 (** In recording order. *)
 
 val clear : t -> unit
+
+val of_recorder : Obs.Recorder.t -> t * int
+(** The spans a flight recorder holds: each vproc's [Coll_begin] paired
+    with its [Coll_end] (per kind, innermost first), as an enabled trace
+    in order of start time, and the number of unpaired begin or end
+    events skipped because the ring overwrote or had not yet received
+    their partner. *)
 val kind_to_string : kind -> string
 
 val render_timeline : ?width:int -> t -> n_vprocs:int -> string
