@@ -48,6 +48,7 @@ val of_recorder : Obs.Recorder.t -> t * int
     in order of start time, and the number of unpaired begin or end
     events skipped because the ring overwrote or had not yet received
     their partner. *)
+
 val kind_to_string : kind -> string
 
 val render_timeline : ?width:int -> t -> n_vprocs:int -> string

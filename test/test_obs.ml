@@ -191,6 +191,119 @@ let test_every_collection_attributed () =
         pauses attributed)
     snap.Metrics.vprocs
 
+(* One traced server run with a tight global budget, so the run's
+   collections include global ones under [mode]. *)
+let traced_server_run mode =
+  let spec = Option.get (Workloads.Registry.find "server") in
+  let base =
+    Harness.Run_config.default ~machine:Numa.Machines.amd48 ~n_vprocs:4
+  in
+  let params =
+    { base.Harness.Run_config.params with
+      Params.global_gc_mode = mode;
+      global_budget_per_vproc = 20 * 1024 }
+  in
+  let ctx =
+    Ctx.create ~params ~machine:Numa.Machines.amd48 ~n_vprocs:4
+      ~policy:Sim_mem.Page_policy.Local ()
+  in
+  let rt = Sched.create ~seed:0x5eed ctx in
+  Gc_trace.enable ctx.Ctx.trace;
+  ignore (Workloads.Registry.run spec rt ~scale:4.);
+  ctx
+
+let test_sinks_agree () =
+  let kinds =
+    Gc_trace.[ Minor; Major; Promotion; Global; Barrier ]
+  in
+  List.iter
+    (fun (label, mode) ->
+      let ctx = traced_server_run mode in
+      let r = ctx.Ctx.obs in
+      let check_int what = Alcotest.(check int) (label ^ ": " ^ what) in
+      Alcotest.(check bool) (label ^ ": globals ran") true
+        (ctx.Ctx.stats.Gc_stats.global_count > 0);
+      for v = 0 to Obs.Recorder.n_vprocs r - 1 do
+        check_int (Printf.sprintf "vproc %d ring did not overwrite" v) 0
+          (Obs.Recorder.dropped r ~vproc:v)
+      done;
+      let live = Gc_trace.events ctx.Ctx.trace in
+      let rebuilt, orphans = Gc_trace.of_recorder r in
+      check_int "no orphans" 0 orphans;
+      (* A batched promotion's span is deliberately its accrued copy
+         time, ending at the publish, not the wall time since its first
+         add (the quiet gaps between adds are mutator work): its live
+         start may only lie at or after the recorded one. *)
+      let batched (e : Gc_trace.event) =
+        match e.Gc_trace.cause with
+        | Obs.Gc_cause.Promotion_batched _ -> true
+        | _ -> false
+      in
+      let key (e : Gc_trace.event) =
+        if batched e then { e with Gc_trace.t_start_ns = 0. } else e
+      in
+      let sorted l = List.sort compare (List.map key l) in
+      Alcotest.(check bool)
+        (label ^ ": live trace = spans rebuilt from the recorder")
+        true
+        (sorted live = sorted (Gc_trace.events rebuilt));
+      let starts l =
+        List.sort compare
+          (List.filter_map
+             (fun e ->
+               if batched e then
+                 Some ((e.Gc_trace.vproc, e.Gc_trace.t_end_ns), e.Gc_trace.t_start_ns)
+               else None)
+             l)
+      in
+      List.iter2
+        (fun (_, t_live) (_, t_rec) ->
+          Alcotest.(check bool)
+            (label ^ ": batched span lies inside its wall span")
+            true (t_live >= t_rec))
+        (starts live) (starts (Gc_trace.events rebuilt));
+      (* Metrics per kind = the trace per kind, in counts and bytes. *)
+      let agg = Metrics.aggregate ctx.Ctx.metrics in
+      List.iter
+        (fun k ->
+          let evs = List.filter (fun e -> e.Gc_trace.kind = k) live in
+          let ks = Metrics.kind_stats agg k in
+          let name = Gc_trace.kind_to_string k in
+          check_int (name ^ " count: metrics = trace") (List.length evs)
+            ks.Metrics.pause_ns.Metrics.count;
+          check_int (name ^ " bytes: metrics = trace")
+            (List.fold_left (fun a e -> a + e.Gc_trace.bytes) 0 evs)
+            (int_of_float ks.Metrics.copied_bytes.Metrics.sum))
+        kinds;
+      (* Per-vproc Gc_stats = per-vproc metrics. *)
+      let snap = Metrics.snapshot ctx.Ctx.metrics in
+      Array.iter
+        (fun (m : Ctx.mutator) ->
+          let vs =
+            List.find
+              (fun (vs : Metrics.vproc_stats) -> vs.Metrics.vproc = m.Ctx.id)
+              snap.Metrics.vprocs
+          in
+          let s = m.Ctx.stats in
+          List.iter
+            (fun (k, count, bytes) ->
+              let ks = Metrics.kind_stats vs k in
+              let what =
+                Printf.sprintf "vproc %d %s" m.Ctx.id (Gc_trace.kind_to_string k)
+              in
+              check_int (what ^ " count: stats = metrics") count
+                ks.Metrics.pause_ns.Metrics.count;
+              check_int (what ^ " bytes: stats = metrics") bytes
+                (int_of_float ks.Metrics.copied_bytes.Metrics.sum))
+            Gc_stats.
+              [
+                (Gc_trace.Minor, s.minor_count, s.minor_copied_bytes);
+                (Gc_trace.Major, s.major_count, s.major_copied_bytes);
+                (Gc_trace.Promotion, s.promote_count, s.promoted_bytes);
+              ])
+        ctx.Ctx.muts)
+    [ ("stw", Params.Stw); ("concurrent", Params.Concurrent) ]
+
 let test_matrix_matches_copied_bytes () =
   (* Exact-byte cross-check: the NUMA traffic matrix total must equal
      the sum of every vproc's copied-byte totals across all collection
@@ -357,6 +470,8 @@ let suite =
         test_recorder_dump_roundtrip;
       Alcotest.test_case "every collection attributed" `Quick
         test_every_collection_attributed;
+      Alcotest.test_case "live trace, recorder, metrics and stats agree"
+        `Quick test_sinks_agree;
       Alcotest.test_case "traffic matrix = copied bytes" `Quick
         test_matrix_matches_copied_bytes;
       Alcotest.test_case "batched promotion reconciles with the matrix" `Quick
