@@ -194,8 +194,8 @@ let coll_begin t (m : mutator) kind ~cause ~t_ns =
   Obs.Recorder.record t.obs ~vproc:m.id ~t_ns
     (Obs.Event.Coll_begin { kind; cause })
 
-let coll_end ?pause_ns ?(count_cause = true) t (m : mutator) kind ~cause ~t_start ~t_end
-    ~bytes =
+let coll_end ?pause_ns ?(count_cause = true) t (m : mutator) kind ~cause
+    ~t_start ~t_end ~bytes =
   let s = m.stats in
   (match kind with
   | Gc_trace.Minor ->
@@ -219,10 +219,11 @@ let coll_end ?pause_ns ?(count_cause = true) t (m : mutator) kind ~cause ~t_star
         t_end_ns = t_end;
         bytes;
       };
-  let ns = match pause_ns with Some ns -> ns | None -> t_end -. t_start in
   Metrics.record_pause
     ?cause:(if count_cause then Some cause else None)
-    ~t_ns:t_end t.metrics ~vproc:m.id ~kind ~ns ~bytes;
+    ~t_ns:t_end t.metrics ~vproc:m.id ~kind
+    ~ns:(Option.value pause_ns ~default:(t_end -. t_start))
+    ~bytes;
   Obs.Recorder.record t.obs ~vproc:m.id ~t_ns:t_end
     (Obs.Event.Coll_end { kind; cause; bytes })
 
