@@ -391,18 +391,15 @@ type prom_stats = {
 }
 
 let prom_stats_of (ctx : Ctx.t) =
-  let cycles = ref 0 and values = ref 0 and bytes = ref 0 in
-  Array.iter
-    (fun (mu : Ctx.mutator) ->
-      let st = mu.Ctx.stats in
-      cycles := !cycles + st.Gc_stats.promote_count;
-      values := !values + st.Gc_stats.promote_batched_values;
-      bytes := !bytes + st.Gc_stats.promoted_bytes)
-    ctx.Ctx.muts;
   let agg = Metrics.aggregate ctx.Ctx.metrics in
-  { pr_cycles = !cycles; pr_values = !values;
+  { pr_cycles = Metrics.kind_count agg Gc_trace.Promotion;
+    pr_values =
+      Array.fold_left
+        (fun acc (mu : Ctx.mutator) ->
+          acc + mu.Ctx.stats.Gc_stats.promote_batched_values)
+        0 ctx.Ctx.muts;
     pr_pause_ns = agg.Metrics.promotion.Metrics.pause_ns.Metrics.sum;
-    pr_bytes = !bytes }
+    pr_bytes = Metrics.kind_bytes agg Gc_trace.Promotion }
 
 (* Steal-heavy fan-out: every work item carries a 4-cell environment, so
    each steal's claim batches four object graphs into one publish. *)
@@ -598,36 +595,6 @@ let server_load rate =
 
 let server_rates = [ 50_000.; 200_000.; 500_000.; 1_000_000. ]
 
-(* Collection windows per vproc from the event rings (begin/end pairs;
-   orphans from ring overwrite are skipped). *)
-let coll_windows (ctx : Ctx.t) =
-  let r = ctx.Ctx.obs in
-  let out = ref [] in
-  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
-    let pending = Array.make 5 [] in
-    let kindex = function
-      | Obs.Event.Minor -> 0 | Obs.Event.Major -> 1
-      | Obs.Event.Promotion -> 2 | Obs.Event.Global -> 3
-      | Obs.Event.Barrier -> 4
-    in
-    List.iter
-      (fun (_, t_ns, ev) ->
-        match ev with
-        | Obs.Event.Coll_begin { kind; _ } ->
-            let k = kindex kind in
-            pending.(k) <- t_ns :: pending.(k)
-        | Obs.Event.Coll_end { kind; _ } -> (
-            let k = kindex kind in
-            match pending.(k) with
-            | t0 :: rest ->
-                pending.(k) <- rest;
-                out := (t0, t_ns) :: !out
-            | [] -> ())
-        | _ -> ())
-      (Obs.Recorder.events r ~vproc:v)
-  done;
-  !out
-
 (* Completed-request windows [t_done - latency, t_done]. *)
 let request_windows (ctx : Ctx.t) =
   let r = ctx.Ctx.obs in
@@ -651,9 +618,15 @@ let slow_gc_share ctx reqs =
   let n = Array.length lats in
   if n = 0 then 0.
   else begin
-    let p99 = lats.(max 0 (min (n - 1) ((99 * n / 100) + 1 - 1))) in
+    let p99 = Metrics.exact_percentile lats 0.99 in
     let slow = List.filter (fun (lo, hi) -> hi -. lo >= p99) reqs in
-    let colls = List.sort compare (coll_windows ctx) in
+    (* Every vproc's collection spans, paired from the event rings. *)
+    let colls =
+      List.sort compare
+        (List.map
+           (fun (e : Gc_trace.event) -> (e.Gc_trace.t_start_ns, e.Gc_trace.t_end_ns))
+           (Gc_trace.events (fst (Gc_trace.of_recorder ctx.Ctx.obs))))
+    in
     let overlap (lo, hi) =
       let covered, _ =
         List.fold_left

@@ -20,6 +20,7 @@ open Cmdliner
 module Event = Obs.Event
 module Cause = Obs.Gc_cause
 module Trace = Manticore_gc.Gc_trace
+module Metrics = Manticore_gc.Metrics
 
 let read_file path =
   let ic = open_in_bin path in
@@ -234,12 +235,6 @@ let print_conc_parallel r =
 
 (* --- Request latencies (server workload) --------------------------- *)
 
-(* Exact percentile over a sorted array: the smallest sample with at
-   least [p] of the mass at or below it (offline, so no bucketing). *)
-let pctl sorted p =
-  let n = Array.length sorted in
-  sorted.(max 0 (min (n - 1) (int_of_float (Float.ceil (p *. float_of_int n)) - 1)))
-
 (* Completion events carry end time and latency, i.e. the request's
    in-flight window [t_done - latency, t_done]. *)
 let request_windows r =
@@ -292,13 +287,13 @@ let print_request_latencies r colls =
       "request latencies: %d requests\n\
       \  p50 %8.1fus  p90 %8.1fus  p99 %8.1fus  p99.9 %8.1fus  max %8.1fus\n"
       n
-      (us (pctl lats 0.50))
-      (us (pctl lats 0.90))
-      (us (pctl lats 0.99))
-      (us (pctl lats 0.999))
+      (us (Metrics.exact_percentile lats 0.50))
+      (us (Metrics.exact_percentile lats 0.90))
+      (us (Metrics.exact_percentile lats 0.99))
+      (us (Metrics.exact_percentile lats 0.999))
       (us lats.(Array.length lats - 1));
     (* Slow tail: everything at or above p99 (at least one request). *)
-    let thresh = pctl lats 0.99 in
+    let thresh = Metrics.exact_percentile lats 0.99 in
     let slow = List.filter (fun (lo, hi) -> hi -. lo >= thresh) ws in
     let n_slow = List.length slow in
     let slow_lat = List.fold_left (fun a (lo, hi) -> a +. (hi -. lo)) 0. slow in
@@ -547,7 +542,7 @@ let print_cycles r =
     if ws <> [] then begin
       let lats = Array.of_list (List.map (fun (lo, hi) -> hi -. lo) ws) in
       Array.sort compare lats;
-      let thresh = pctl lats 0.99 in
+      let thresh = Metrics.exact_percentile lats 0.99 in
       let slow =
         List.sort compare (List.filter (fun (lo, hi) -> hi -. lo >= thresh) ws)
       in

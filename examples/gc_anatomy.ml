@@ -105,4 +105,5 @@ let () =
       Printf.printf "invariants hold: %d objects, %d proxies\n"
         s.Invariants.objects s.Invariants.proxies
   | Error e -> List.iter print_endline e);
-  Format.printf "@.%a@." Gc_stats.pp m.Ctx.stats
+  let row = List.nth (Metrics.snapshot ctx.Ctx.metrics).Metrics.vprocs m.Ctx.id in
+  Format.printf "@.%a@." (Gc_stats.pp row) m.Ctx.stats

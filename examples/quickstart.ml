@@ -57,13 +57,16 @@ let () =
   Printf.printf "simulated time: %.3f ms on 16 vprocs\n"
     (Sched.elapsed_ns rt /. 1e6);
   let s = Sched.stats rt in
+  let agg = Metrics.aggregate ctx.Ctx.metrics in
   Printf.printf "scheduler: %d spawns, %d steals, %d inline runs\n"
-    s.Sched.spawns s.Sched.steals s.Sched.inline_runs;
+    s.Sched.spawns agg.Metrics.steal_successes s.Sched.inline_runs;
   let gc = Gc_stats.total (Array.init 16 (fun i -> (Ctx.mutator ctx i).Ctx.stats)) in
-  Format.printf "collector: @[%a@]@." Gc_stats.pp gc;
+  Format.printf "collector: @[%a@]@." (Gc_stats.pp agg) gc;
   match Ctx.check_invariants ctx with
   | Ok summary ->
       Printf.printf "heap invariants hold: %d live objects (%d local, %d global)\n"
         summary.Invariants.objects summary.Invariants.local_objects
         summary.Invariants.global_objects
-  | Error errs -> List.iter print_endline errs
+  | Error errs ->
+      List.iter print_endline errs;
+      exit 1

@@ -75,11 +75,8 @@ let dest_for ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
   Forward.global_dest ctx m ~on_copy:(fun dst bytes ->
       if Global_heap.is_large ctx.Ctx.global dst then
         Queue.add dst st.Ctx.cg_large
-      else begin
-        st.Ctx.cg_copied_by.(m.Ctx.id) <- st.Ctx.cg_copied_by.(m.Ctx.id) + bytes;
-        m.Ctx.stats.Gc_stats.global_copied_bytes <-
-          m.Ctx.stats.Gc_stats.global_copied_bytes + bytes
-      end)
+      else
+        st.Ctx.cg_copied_by.(m.Ctx.id) <- st.Ctx.cg_copied_by.(m.Ctx.id) + bytes)
 
 (* Scan one to-space object, evacuating its from-space targets.  A
    proxy's referent may legitimately point into its owner's local heap

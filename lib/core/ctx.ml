@@ -187,27 +187,14 @@ let iter_all_roots t f =
   Roots.iter t.global_roots (fun c -> f ~vproc:None ~proxy:false c)
 
 (* The one reporting path: every collector span enters the flight
-   recorder, the live trace, the metrics and the per-vproc tallies here,
-   so no sink can see a collection the others miss or stamp it
-   differently. *)
+   recorder, the live trace and the metrics here, so no sink can see a
+   collection the others miss or stamp it differently. *)
 let coll_begin t (m : mutator) kind ~cause ~t_ns =
   Obs.Recorder.record t.obs ~vproc:m.id ~t_ns
     (Obs.Event.Coll_begin { kind; cause })
 
 let coll_end ?pause_ns ?(count_cause = true) t (m : mutator) kind ~cause
     ~t_start ~t_end ~bytes =
-  let s = m.stats in
-  (match kind with
-  | Gc_trace.Minor ->
-      s.Gc_stats.minor_count <- s.Gc_stats.minor_count + 1;
-      s.Gc_stats.minor_copied_bytes <- s.Gc_stats.minor_copied_bytes + bytes
-  | Gc_trace.Major ->
-      s.Gc_stats.major_count <- s.Gc_stats.major_count + 1;
-      s.Gc_stats.major_copied_bytes <- s.Gc_stats.major_copied_bytes + bytes
-  | Gc_trace.Promotion ->
-      s.Gc_stats.promote_count <- s.Gc_stats.promote_count + 1;
-      s.Gc_stats.promoted_bytes <- s.Gc_stats.promoted_bytes + bytes
-  | Gc_trace.Global | Gc_trace.Barrier -> ());
   if Gc_trace.enabled t.trace then
     Gc_trace.record t.trace
       {
@@ -227,6 +214,16 @@ let coll_end ?pause_ns ?(count_cause = true) t (m : mutator) kind ~cause
   Obs.Recorder.record t.obs ~vproc:m.id ~t_ns:t_end
     (Obs.Event.Coll_end { kind; cause; bytes })
 
+(* Thief [m] probed [victim]'s deque: the metrics and the ring see the
+   same attempts and successes, in the same order. *)
+let steal_probe t (m : mutator) ~victim ~success =
+  Metrics.record_steal t.metrics ~vproc:m.id ~success;
+  Obs.Recorder.record t.obs ~vproc:m.id ~t_ns:m.now_ns
+    (Obs.Event.Steal_attempt { victim });
+  if success then
+    Obs.Recorder.record t.obs ~vproc:m.id ~t_ns:m.now_ns
+      (Obs.Event.Steal_success { victim })
+
 (* [m] idles at a synchronization point until [t_to]: the gap is its own
    pause kind, nested inside the enclosing Global span, so wait and copy
    time stay apart. *)
@@ -238,8 +235,6 @@ let barrier_wait t (m : mutator) ~cause ~t_to =
 
 (* The tail every global collection shares, STW or concurrent. *)
 let finish_global t ~copied_by =
-  (* [t.stats] is the whole-system tally and the per-mutator stats are a
-     partition of the same copies: never add the two together. *)
   t.stats.Gc_stats.global_count <- t.stats.Gc_stats.global_count + 1;
   t.stats.Gc_stats.global_copied_bytes <-
     t.stats.Gc_stats.global_copied_bytes + Array.fold_left ( + ) 0 copied_by;

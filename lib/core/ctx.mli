@@ -27,6 +27,8 @@ type mutator = {
   mutable now_ns : float;  (** the vproc's virtual clock *)
   mutable in_gc : bool;
   stats : Gc_stats.t;
+      (** allocation, batched values and collector time; collection
+          counts and bytes are in {!field-metrics} *)
 }
 
 type conc_state = {
@@ -103,11 +105,14 @@ type t = {
   mutable conc : conc_state option;
       (** the in-flight concurrent global collection, if any; owned by
           {!Concurrent_gc} *)
-  stats : Gc_stats.t;  (** aggregate of completed phases (global GCs) *)
+  stats : Gc_stats.t;
+      (** the context-level global-collection count and copied bytes
+          (the per-vproc {!Gc_stats} leave them at zero) *)
   trace : Gc_trace.t;  (** collector event trace (disabled by default) *)
   metrics : Metrics.t;
       (** per-vproc pause/copied-byte distributions and steal/chunk
-          counters (always on; see {!Metrics}) *)
+          counters, the one tally of those facts (always on; see
+          {!Metrics}) *)
   obs : Obs.Recorder.t;
       (** the flight recorder: per-vproc event rings and the NUMA
           traffic matrix (always on; see {!Obs.Recorder}) *)
@@ -165,8 +170,9 @@ val iter_all_roots :
 
     Every collector span is reported through these calls and nowhere
     else: the flight recorder ({!field-obs}) holds the begin/end events,
-    and the live trace, the metrics and the per-vproc {!Gc_stats} are
-    fed from {!coll_end}, so each sink sees the same spans. *)
+    and the live trace and the metrics are fed from {!coll_end}, so each
+    sink sees the same spans.  Steal probes go through {!steal_probe}
+    the same way. *)
 
 val coll_begin :
   t -> mutator -> Gc_trace.kind -> cause:Obs.Gc_cause.t -> t_ns:float -> unit
@@ -184,14 +190,19 @@ val coll_end :
   bytes:int ->
   unit
 (** Close a span on [m] that ran from [t_start] to [t_end] and copied
-    [bytes]: bump [m]'s {!Gc_stats} count and bytes for a minor, major
-    or promotion; add a {!Gc_trace} event when tracing is on; record the
-    pause in {!Metrics} (ending at [t_end]); record [Coll_end].
+    [bytes]: add a {!Gc_trace} event when tracing is on; record the
+    pause in {!Metrics} (ending at [t_end]), which is the one count of
+    collections and copied bytes; record [Coll_end].
     [pause_ns] (default [t_end -. t_start]) is the pause the metrics
     record, for a span whose pause is not its extent: a batched
     promotion's accrued copy time.  With [count_cause = false] the
     metrics leave the span out of their per-cause counts (a concurrent
     cycle counts its cause once, on its ratify spans, not per slice). *)
+
+val steal_probe : t -> mutator -> victim:int -> success:bool -> unit
+(** Thief [m] probed [victim]'s deque at its clock: count the attempt
+    (and the success) in {!Metrics}, and record [Steal_attempt] then,
+    on success, [Steal_success]. *)
 
 val barrier_wait : t -> mutator -> cause:Obs.Gc_cause.t -> t_to:float -> unit
 (** [m] waits at a synchronization point: advance its clock to [t_to]

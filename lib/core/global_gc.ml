@@ -75,11 +75,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
         Forward.global_dest ctx m ~on_copy:(fun dst bytes ->
             if Global_heap.is_large ctx.Ctx.global dst then
               Queue.add dst large_pending
-            else begin
-              copied_by.(m.Ctx.id) <- copied_by.(m.Ctx.id) + bytes;
-              m.Ctx.stats.Gc_stats.global_copied_bytes <-
-                m.Ctx.stats.Gc_stats.global_copied_bytes + bytes
-            end))
+            else copied_by.(m.Ctx.id) <- copied_by.(m.Ctx.id) + bytes))
       muts
   in
   (* Evacuate one value if it is a global (from-space) reference.  Local

@@ -297,18 +297,22 @@ let hist_merge ~into h =
   into.sum <- into.sum +. h.sum;
   into.n <- into.n + h.n
 
+(* Nearest rank of the p-th percentile among [n] samples, 1-based.
+   [p *. n] can land a hair above the exact product (0.55 * 20 is
+   11.000000000000002), and taking the ceiling of that would skip to the
+   next sample, so shave a relative epsilon first.  Clamping to [1, n]
+   keeps p <= 0 at the first sample and p >= 1 at the last. *)
+let nearest_rank ~n p =
+  let x = p *. float_of_int n in
+  Stdlib.min n (Stdlib.max 1 (int_of_float (Float.ceil (x -. (Float.abs x *. 1e-12)))))
+
+let exact_percentile sorted p =
+  sorted.(nearest_rank ~n:(Array.length sorted) p - 1)
+
 let hist_percentile h p =
   if h.n = 0 then 0.
   else begin
-    (* Rank of the p-th percentile among n samples, 1-based.  [p *. n]
-       can land a hair above the exact product (0.55 * 20 is
-       11.000000000000002), and taking the ceiling of that would skip to
-       the next sample, so shave a relative epsilon first.  Clamping to
-       [1, n] keeps p <= 0 at the first sample and p >= 1 at the last
-       instead of walking past the populated buckets. *)
-    let x = p *. float_of_int h.n in
-    let target = int_of_float (Float.ceil (x -. (Float.abs x *. 1e-12))) in
-    let target = Stdlib.min h.n (Stdlib.max 1 target) in
+    let target = nearest_rank ~n:h.n p in
     let rec go i cum =
       if i >= n_buckets then h.vmax
       else begin
@@ -765,6 +769,9 @@ let kind_stats vs = function
   | Gc_trace.Promotion -> vs.promotion
   | Gc_trace.Global -> vs.global
   | Gc_trace.Barrier -> vs.barrier
+
+let kind_count vs k = (kind_stats vs k).pause_ns.count
+let kind_bytes vs k = int_of_float (kind_stats vs k).copied_bytes.sum
 
 (* ------------------------------------------------------------------ *)
 (* JSON serialization                                                  *)

@@ -2,12 +2,15 @@
     distributions for each collection kind, plus chunk-acquire and
     work-stealing counters.
 
-    {!Gc_stats} keeps flat totals and {!Gc_trace} keeps an (optional)
-    event log; this module keeps the *distributions* the paper's
+    This is the one per-vproc tally of collections, copied bytes,
+    chunk acquires and steals: counts and totals are read from the
+    distributions ({!kind_count}, {!kind_bytes}), and {!Gc_stats} keeps
+    only what this module does not record.  {!Gc_trace} keeps an
+    (optional) event log.  The distributions are what the paper's
     evaluation is built on — per-vproc minor/major/promotion/global
-    pause percentiles and copied-byte rates — cheaply enough to stay on
-    for every run (a recording is a handful of float operations into
-    log-scaled histogram buckets).
+    pause percentiles and copied-byte rates — and stay on for every run
+    (a recording is a handful of float operations into log-scaled
+    histogram buckets).
 
     A finished run is summarized into a {!snapshot}, a plain value that
     serializes to JSON (round-trippable via {!snapshot_of_json}) and
@@ -165,6 +168,21 @@ val aggregate : t -> vproc_stats
     whole-machine percentiles, not an average of per-vproc ones. *)
 
 val kind_stats : vproc_stats -> Gc_trace.kind -> kind_stats
+
+val kind_count : vproc_stats -> Gc_trace.kind -> int
+(** Spans of that kind: one per collection for a minor, major or
+    promotion; a global collection records one [Global] span per vproc. *)
+
+val kind_bytes : vproc_stats -> Gc_trace.kind -> int
+(** Bytes those spans copied (exact: a float sum of integers). *)
+
+val exact_percentile : float array -> float -> float
+(** [exact_percentile sorted p] is the nearest-rank percentile of a
+    sorted, non-empty sample: the smallest value with at least [p] of
+    the mass at or below it, index [ceil (p * n) - 1] (the same rank the
+    histogram percentiles use, so a product a rounding error above an
+    integer does not skip a sample).  [p <= 0] gives the first value and
+    [p >= 1] the last. *)
 
 val windowed_dist : ?last:int -> windowed -> dist
 (** Merge of the newest [last] populated epochs (default: the whole

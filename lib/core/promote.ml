@@ -50,7 +50,7 @@ let value ?(reason = Obs.Gc_cause.Explicit) ctx (m : Ctx.mutator) v =
    charged once (at the first local root), the [Forward.global_dest] —
    and therefore the current chunk cursor — is reused across roots so
    the copies pack into one allocation run, and the whole batch counts
-   as one [promote_count] cycle with one pause record at [batch_end]
+   as one promotion cycle with one pause record at [batch_end]
    (the fence-equivalent publish).
 
    Each [batch_add] still drains the scan queue completely and brackets

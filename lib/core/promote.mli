@@ -30,9 +30,8 @@ val is_local : Ctx.t -> Ctx.mutator -> Heap.Value.t -> bool
     machinery spin-up ({!Params.t.promote_spinup_cycles}) is charged
     once, the destination (and its chunk cursor) is reused so the
     copies pack together, and the batch is published with one
-    fence-equivalent at {!batch_end}, recorded as a single
-    [promote_count] cycle and a single pause with cause
-    [Promotion_batched].
+    fence-equivalent at {!batch_end}, recorded as a single promotion
+    cycle and a single pause with cause [Promotion_batched].
 
     Every {!batch_add} leaves the heap fully consistent (scan queue
     drained, forwarding words written), so mutator work — including

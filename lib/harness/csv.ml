@@ -13,14 +13,15 @@ let of_sweep (results : Figures.sweep_result list) =
       in
       List.iter
         (fun (n, (o : Run_config.outcome)) ->
+          let agg = Metrics.aggregate o.Run_config.metrics in
           Buffer.add_string buf
             (Printf.sprintf "%s,%g,%d,%.0f,%.4f,%d,%d,%d,%d\n" r.Figures.workload
                r.Figures.scale n o.Run_config.elapsed_ns
                (base /. o.Run_config.elapsed_ns)
-               o.Run_config.gc.Gc_stats.minor_count
-               o.Run_config.gc.Gc_stats.major_count
+               (Metrics.kind_count agg Gc_trace.Minor)
+               (Metrics.kind_count agg Gc_trace.Major)
                o.Run_config.gc.Gc_stats.global_count
-               o.Run_config.gc.Gc_stats.promoted_bytes))
+               (Metrics.kind_bytes agg Gc_trace.Promotion)))
         r.Figures.points)
     results;
   Buffer.contents buf

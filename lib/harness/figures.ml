@@ -207,17 +207,22 @@ let gc_report ?(fast = false) () =
             Run_config.scale }
         in
         let o = Run_config.execute spec cfg in
-        let mb b = Printf.sprintf "%.2f" (float_of_int b /. 1e6) in
+        let agg = Manticore_gc.Metrics.aggregate o.Run_config.metrics in
+        let count k = string_of_int (Manticore_gc.Metrics.kind_count agg k) in
+        let mb k =
+          Printf.sprintf "%.2f"
+            (float_of_int (Manticore_gc.Metrics.kind_bytes agg k) /. 1e6)
+        in
         let g = o.Run_config.gc in
         [
           name;
-          string_of_int g.Manticore_gc.Gc_stats.minor_count;
-          string_of_int g.Manticore_gc.Gc_stats.major_count;
-          string_of_int g.Manticore_gc.Gc_stats.promote_count;
+          count Manticore_gc.Gc_trace.Minor;
+          count Manticore_gc.Gc_trace.Major;
+          count Manticore_gc.Gc_trace.Promotion;
           string_of_int g.Manticore_gc.Gc_stats.global_count;
-          mb g.Manticore_gc.Gc_stats.minor_copied_bytes;
-          mb g.Manticore_gc.Gc_stats.major_copied_bytes;
-          mb g.Manticore_gc.Gc_stats.promoted_bytes;
+          mb Manticore_gc.Gc_trace.Minor;
+          mb Manticore_gc.Gc_trace.Major;
+          mb Manticore_gc.Gc_trace.Promotion;
           Printf.sprintf "%.1f"
             (100. *. g.Manticore_gc.Gc_stats.gc_ns
             /. (o.Run_config.elapsed_ns *. 16.));
@@ -369,17 +374,19 @@ let ablations ?(fast = false) () =
             if vname = "baseline (paper design)" then
               Hashtbl.replace baseline bench t;
             let base = Hashtbl.find baseline bench in
-            let g = o.Run_config.gc in
+            let agg = Manticore_gc.Metrics.aggregate o.Run_config.metrics in
+            let mb k =
+              Printf.sprintf "%.3f"
+                (float_of_int (Manticore_gc.Metrics.kind_bytes agg k) /. 1e6)
+            in
             [
               vname;
               bench;
               Printf.sprintf "%.3f" (t /. 1e6);
               Printf.sprintf "%+.1f%%" (100. *. ((t /. base) -. 1.));
-              Printf.sprintf "%.3f"
-                (float_of_int g.Manticore_gc.Gc_stats.promoted_bytes /. 1e6);
-              Printf.sprintf "%.3f"
-                (float_of_int g.Manticore_gc.Gc_stats.major_copied_bytes /. 1e6);
-              string_of_int g.Manticore_gc.Gc_stats.chunk_acquires;
+              mb Manticore_gc.Gc_trace.Promotion;
+              mb Manticore_gc.Gc_trace.Major;
+              string_of_int agg.Manticore_gc.Metrics.chunk_acquires;
             ])
           benches)
       variants

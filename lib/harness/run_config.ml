@@ -90,6 +90,7 @@ let execute_with t run =
   (* The per-vproc stats never count global collections; the context's
      own tally does. *)
   gc.Gc_stats.global_count <- ctx.Ctx.stats.Gc_stats.global_count;
+  gc.Gc_stats.global_copied_bytes <- ctx.Ctx.stats.Gc_stats.global_copied_bytes;
   {
     checksum;
     elapsed_ns = Runtime.Sched.elapsed_ns rt;

@@ -43,13 +43,14 @@ type outcome = {
   checksum : float;
   elapsed_ns : float;  (** virtual makespan *)
   gc : Gc_stats.t;
-      (** summed over vprocs; [global_count] is the context's count of
-          global collections *)
+      (** summed over vprocs; [global_count] and [global_copied_bytes]
+          are the context's *)
   sched : Runtime.Sched.stats;
   metrics : Metrics.t;
       (** the run's per-vproc pause/byte distributions and steal/chunk
-          counters; snapshot with {!Manticore_gc.Metrics.snapshot} or
-          merge across runs with {!Manticore_gc.Metrics.merge} *)
+          counters, where collection counts and copied bytes live;
+          snapshot with {!Manticore_gc.Metrics.snapshot} or merge across
+          runs with {!Manticore_gc.Metrics.merge} *)
   obs : Obs.Recorder.t;
       (** the run's flight recorder: per-vproc event rings and the NUMA
           traffic matrix; serialize with {!Obs.Recorder.to_string} *)

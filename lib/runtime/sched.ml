@@ -3,12 +3,9 @@ open Manticore_gc
 
 type stats = {
   mutable spawns : int;
-  mutable steals : int;
   mutable inline_runs : int;
-  mutable fibers_completed : int;
   mutable sends : int;
   mutable yields : int;
-  mutable steal_promoted_bytes : int;
 }
 
 type work_item = {
@@ -141,12 +138,9 @@ let create ?(quantum_ns = 50_000.) ?(eager_promotion = false)
       st =
         {
           spawns = 0;
-          steals = 0;
           inline_runs = 0;
-          fibers_completed = 0;
           sends = 0;
           yields = 0;
-          steal_promoted_bytes = 0;
         };
       next_wid = 0;
       next_fid = 0;
@@ -279,7 +273,6 @@ let complete t (v : vproc) (f : future) result =
   in
   f.fstate <- Done { owner = v.v_id; cell; err };
   f.done_ns <- v.mut.Ctx.now_ns;
-  t.st.fibers_completed <- t.st.fibers_completed + 1;
   dbg "v%d complete f%d (err=%b, %d waiters)" v.v_id f.fid (err <> None)
     (List.length f.waiters);
   wake_waiters t f v.mut.Ctx.now_ns
@@ -291,7 +284,6 @@ let complete t (v : vproc) (f : future) result =
 let claim_env t (v : vproc) (item : work_item) =
   if item.env_owner <> v.v_id then begin
     let victim = t.vprocs.(item.env_owner) in
-    let before = victim.mut.Ctx.stats.Gc_stats.promoted_bytes in
     let vals =
       Array.map (fun c -> Ctx.resolve t.c victim.mut (Roots.get c)) item.env
     in
@@ -303,9 +295,6 @@ let claim_env t (v : vproc) (item : work_item) =
           (fun value -> Promote.value ~reason:Obs.Gc_cause.Steal t.c victim.mut value)
           vals
     in
-    t.st.steal_promoted_bytes <-
-      t.st.steal_promoted_bytes
-      + (victim.mut.Ctx.stats.Gc_stats.promoted_bytes - before);
     let cells =
       Array.mapi
         (fun i c ->
@@ -675,17 +664,10 @@ let resolve_queued t (m : Ctx.mutator) (item : work_item) =
     (match item.fut.fstate with
     | Queued _ -> ()
     | _ -> failwith "Sched.resolve_queued: work item executed twice");
-    if item.env_owner <> m.Ctx.id then begin
-      t.st.steals <- t.st.steals + 1;
-      Metrics.record_steal t.c.Ctx.metrics ~vproc:m.Ctx.id ~success:true;
-      (* The inline claim probed the victim's deque: one executed
-         attempt, immediately successful — keeps the ring's attempt
-         count equal to the metrics counter. *)
-      Obs.Recorder.record t.c.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Steal_attempt { victim = item.env_owner });
-      Obs.Recorder.record t.c.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Steal_success { victim = item.env_owner })
-    end
+    (* An inline claim from another vproc's deque is one executed
+       probe, immediately successful. *)
+    if item.env_owner <> m.Ctx.id then
+      Ctx.steal_probe t.c m ~victim:item.env_owner ~success:true
     else t.st.inline_runs <- t.st.inline_runs + 1;
     item.fut.fstate <- Running;
     claim_env t me item;
@@ -999,26 +981,15 @@ let run_move t = function
       (* A real thief pays for the remote peek of every deque it probes,
          empty or not; each executed probe is one attempt. *)
       List.iter
-        (fun vid ->
-          Metrics.record_steal t.c.Ctx.metrics ~vproc:thief.v_id
-            ~success:false;
-          Obs.Recorder.record t.c.Ctx.obs ~vproc:thief.v_id
-            ~t_ns:thief.mut.Ctx.now_ns
-            (Obs.Event.Steal_attempt { victim = vid }))
+        (fun vid -> Ctx.steal_probe t.c thief.mut ~victim:vid ~success:false)
         empty_probes;
-      Obs.Recorder.record t.c.Ctx.obs ~vproc:thief.v_id
-        ~t_ns:thief.mut.Ctx.now_ns
-        (Obs.Event.Steal_attempt { victim = victim.v_id });
-      match Deque.steal victim.deque with
-      | None ->
-          Metrics.record_steal t.c.Ctx.metrics ~vproc:thief.v_id ~success:false
+      let stolen = Deque.steal victim.deque in
+      Ctx.steal_probe t.c thief.mut ~victim:victim.v_id
+        ~success:(Option.is_some stolen);
+      match stolen with
+      | None -> ()
       | Some item ->
           item.on_queue <- None;
-          t.st.steals <- t.st.steals + 1;
-          Metrics.record_steal t.c.Ctx.metrics ~vproc:thief.v_id ~success:true;
-          Obs.Recorder.record t.c.Ctx.obs ~vproc:thief.v_id
-            ~t_ns:thief.mut.Ctx.now_ns
-            (Obs.Event.Steal_success { victim = victim.v_id });
           thief.mut.Ctx.now_ns <-
             Float.max thief.mut.Ctx.now_ns item.pushed_ns;
           t.turn_start_ns <- thief.mut.Ctx.now_ns;

@@ -29,13 +29,13 @@ type chan
 
 type stats = {
   mutable spawns : int;
-  mutable steals : int;
   mutable inline_runs : int;  (** futures claimed and run by the awaiter *)
-  mutable fibers_completed : int;
   mutable sends : int;
   mutable yields : int;
-  mutable steal_promoted_bytes : int;
 }
+(** Scheduler counters.  Steal attempts and successes are counted per
+    thief in {!Manticore_gc.Metrics} ([steal_attempts],
+    [steal_successes]). *)
 
 type steal_policy =
   | Random_victim  (** uniformly random victims — the paper's scheduler *)

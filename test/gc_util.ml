@@ -21,6 +21,14 @@ let mk_ctx ?(params = small_params) ?(policy = Sim_mem.Page_policy.Local)
   Global_gc.install_sync_hook ctx;
   ctx
 
+(* [m]'s collection count and copied bytes of one kind, read from the
+   metrics, the one tally of both. *)
+let vproc_row (ctx : Ctx.t) (m : Ctx.mutator) =
+  List.nth (Metrics.snapshot ctx.Ctx.metrics).Metrics.vprocs m.Ctx.id
+
+let count ctx m kind = Metrics.kind_count (vproc_row ctx m) kind
+let copied ctx m kind = Metrics.kind_bytes (vproc_row ctx m) kind
+
 (* An OCaml-side view of a heap structure, insensitive to addresses. *)
 type snap =
   | Imm of int

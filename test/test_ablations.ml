@@ -55,7 +55,7 @@ let test_young_exclusion_reduces_promotion () =
     for i = 1 to 2000 do
       Roots.set head (Alloc.alloc_vector ctx m [| Value.of_int i; Roots.get head |])
     done;
-    m.Ctx.stats.Gc_stats.major_copied_bytes
+    Gc_util.copied ctx m Gc_trace.Major
   in
   let keep = major_bytes base_params in
   let no_keep = major_bytes { base_params with Params.young_exclusion = false } in

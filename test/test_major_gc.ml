@@ -83,9 +83,9 @@ let test_major_reclaims_dead_old () =
   let lcell = Roots.add m.Ctx.roots live in
   age_twice ctx m;
   Roots.remove m.Ctx.roots gcell;
-  let copied_before = m.Ctx.stats.Gc_stats.major_copied_bytes in
+  let copied_before = Gc_util.copied ctx m Gc_trace.Major in
   Major_gc.run ctx m;
-  let copied = m.Ctx.stats.Gc_stats.major_copied_bytes - copied_before in
+  let copied = Gc_util.copied ctx m Gc_trace.Major - copied_before in
   (* Only the single live cons cell (24 bytes) goes to the global heap. *)
   Alcotest.(check int) "only live copied" 24 copied;
   Alcotest.(check (list int)) "live readable" [ 5 ]
@@ -100,7 +100,7 @@ let test_major_empty_old_noop () =
   Minor_gc.run ctx m;
   (* Everything is young: the major copies nothing. *)
   Major_gc.run ctx m;
-  Alcotest.(check int) "nothing copied" 0 m.Ctx.stats.Gc_stats.major_copied_bytes;
+  Alcotest.(check int) "nothing copied" 0 (Gc_util.copied ctx m Gc_trace.Major);
   Alcotest.(check bool) "still local" true (Gc_util.in_local m (Roots.get cell));
   Gc_util.assert_invariants ctx
 
@@ -113,7 +113,7 @@ let test_major_triggered_by_threshold () =
   for i = 1 to 2000 do
     Roots.set head (Alloc.alloc_vector ctx m [| Value.of_int i; Roots.get head |])
   done;
-  Alcotest.(check bool) "majors ran" true (m.Ctx.stats.Gc_stats.major_count > 0);
+  Alcotest.(check bool) "majors ran" true (Gc_util.count ctx m Gc_trace.Major > 0);
   Alcotest.(check int) "all data reachable" 2000
     (List.length (Gc_util.read_list ctx m (Roots.get head)));
   Gc_util.assert_invariants ctx

@@ -176,6 +176,21 @@ let test_percentile_float_ceil_rank () =
   Alcotest.(check bool) "p99 reaches the outlier's bucket" true
     (d.Metrics.p99 > 500_000. && d.Metrics.p99 <= 1e6)
 
+let test_exact_percentile_ranks () =
+  (* Nearest rank on a sorted sample: index ceil (p * n) - 1. *)
+  let upto n = Array.init n float_of_int in
+  let check what n p want =
+    Alcotest.(check (float 0.)) what want (Metrics.exact_percentile (upto n) p)
+  in
+  check "n = 100, p99 is the 99th value, not the max" 100 0.99 98.;
+  check "n = 768, p99 is index 760" 768 0.99 760.;
+  check "n = 10, p90 is the 9th value (0.9 * 10 > 9 in floats)" 10 0.9 8.;
+  check "p = 0 is the first value" 100 0. 0.;
+  check "p < 0 is the first value" 100 (-0.5) 0.;
+  check "p = 1 is the last value" 100 1. 99.;
+  check "p > 1 is the last value" 100 1.5 99.;
+  check "one sample" 1 0.5 0.
+
 let test_percentile_merged_clamp () =
   (* Merging widens [vmin, vmax], so the clamp is looser — percentiles
      must still fall inside the union range and stay monotone. *)
@@ -590,6 +605,8 @@ let suite =
         test_percentile_above_top_bucket;
       Alcotest.test_case "percentiles: float-ceil rank regression" `Quick
         test_percentile_float_ceil_rank;
+      Alcotest.test_case "percentiles: exact nearest rank" `Quick
+        test_exact_percentile_ranks;
       Alcotest.test_case "percentiles: merged clamp" `Quick
         test_percentile_merged_clamp;
       Alcotest.test_case "request latency recorded" `Quick

@@ -88,10 +88,10 @@ let test_promote_mixed_local_global () =
   let m = Ctx.mutator ctx 0 in
   let g0 = Promote.value ctx m (Gc_util.build_list ctx m [ 7 ]) in
   let v = Alloc.alloc_vector ctx m [| Value.of_int 0; g0 |] in
-  let promoted_before = m.Ctx.stats.Gc_stats.promoted_bytes in
+  let promoted_before = Gc_util.copied ctx m Gc_trace.Promotion in
   let g = Promote.value ctx m v in
   Alcotest.(check int) "only the spine copied" 24
-    (m.Ctx.stats.Gc_stats.promoted_bytes - promoted_before);
+    (Gc_util.copied ctx m Gc_trace.Promotion - promoted_before);
   Alcotest.(check bool) "global field untouched" true
     (Value.equal g0 (Obj_repr.get_field ctx.Ctx.store (Value.to_ptr g) 1));
   Gc_util.assert_invariants ctx
@@ -118,10 +118,10 @@ let test_batch_counts_one_cycle () =
   let vs = Array.init 5 (fun i ->
       Roots.add m.Ctx.roots (Gc_util.build_list ctx m [ i; i + 1 ])) in
   let snaps = Array.map (fun c -> Gc_util.snapshot ctx (Roots.get c)) vs in
-  let count0 = m.Ctx.stats.Gc_stats.promote_count in
+  let count0 = Gc_util.count ctx m Gc_trace.Promotion in
   let gs = Promote.batch ctx m (Array.map Roots.get vs) in
   Alcotest.(check int) "one promotion cycle for five roots" (count0 + 1)
-    m.Ctx.stats.Gc_stats.promote_count;
+    (Gc_util.count ctx m Gc_trace.Promotion);
   Alcotest.(check int) "all five counted as batched values" 5
     m.Ctx.stats.Gc_stats.promote_batched_values;
   Array.iteri
@@ -145,7 +145,7 @@ let test_batch_preserves_sharing () =
       (Alloc.alloc_vector ctx m
          [| Value.of_int 2;
             Ctx.get_field ctx m (Value.to_ptr (Roots.get ca)) 1 |]) in
-  let bytes0 = m.Ctx.stats.Gc_stats.promoted_bytes in
+  let bytes0 = Gc_util.copied ctx m Gc_trace.Promotion in
   let gs = Promote.batch ctx m [| Roots.get ca; Roots.get cb |] in
   let tail_of v = Obj_repr.get_field ctx.Ctx.store (Value.to_ptr v) 1 in
   Alcotest.(check bool) "tail shared, not duplicated" true
@@ -161,12 +161,12 @@ let test_batch_preserves_sharing () =
       (Alloc.alloc_vector ctx' m'
          [| Value.of_int 2;
             Ctx.get_field ctx' m' (Value.to_ptr (Roots.get ca')) 1 |]) in
-  let bytes0' = m'.Ctx.stats.Gc_stats.promoted_bytes in
+  let bytes0' = Gc_util.copied ctx' m' Gc_trace.Promotion in
   ignore (Promote.value ctx' m' (Roots.get ca'));
   ignore (Promote.value ctx' m' (Roots.get cb'));
   Alcotest.(check int) "batched bytes = singleton-sum bytes"
-    (m'.Ctx.stats.Gc_stats.promoted_bytes - bytes0')
-    (m.Ctx.stats.Gc_stats.promoted_bytes - bytes0);
+    (Gc_util.copied ctx' m' Gc_trace.Promotion - bytes0')
+    (Gc_util.copied ctx m Gc_trace.Promotion - bytes0);
   Gc_util.assert_invariants ctx
 
 let test_batch_cyclic_graph () =
@@ -190,14 +190,14 @@ let test_batch_skips_nonlocal () =
   let ctx = Gc_util.mk_ctx () in
   let m = Ctx.mutator ctx 0 in
   let g0 = Promote.value ctx m (Gc_util.build_list ctx m [ 3 ]) in
-  let count0 = m.Ctx.stats.Gc_stats.promote_count in
+  let count0 = Gc_util.count ctx m Gc_trace.Promotion in
   (* All-immediate / already-global input: no cycle recorded at all. *)
   let gs = Promote.batch ctx m [| Value.of_int 7; g0 |] in
   Alcotest.(check bool) "immediate unchanged" true
     (Value.equal (Value.of_int 7) gs.(0));
   Alcotest.(check bool) "global unchanged" true (Value.equal g0 gs.(1));
   Alcotest.(check int) "no promotion cycle" count0
-    m.Ctx.stats.Gc_stats.promote_count
+    (Gc_util.count ctx m Gc_trace.Promotion)
 
 let test_batch_end_is_final () =
   let ctx = Gc_util.mk_ctx () in

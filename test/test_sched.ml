@@ -86,16 +86,19 @@ let test_stealing_happens () =
          in
          List.iter (fun f -> ignore (Sched.await rt m f)) futs;
          Value.unit));
-  Alcotest.(check bool) "steals occurred" true ((Sched.stats rt).Sched.steals > 0)
+  let agg = Metrics.aggregate (Sched.ctx rt).Ctx.metrics in
+  Alcotest.(check bool) "steals occurred" true (agg.Metrics.steal_successes > 0)
 
 let test_stolen_env_promoted () =
   let rt = mk_rt ~n_vprocs:2 () in
   let c = Sched.ctx rt in
   let got_global = ref false in
   let crossed = ref false in
+  let victim = ref 0 in
   ignore
     (Sched.run rt ~main:(fun m ->
          let spawner = m.Ctx.id in
+         victim := spawner;
          let data = Gc_util.build_list c m [ 1; 2; 3 ] in
          let fut =
            Sched.spawn rt m ~env:[| data |] (fun m' env ->
@@ -112,10 +115,17 @@ let test_stolen_env_promoted () =
          Ctx.charge_work c m ~cycles:10_000_000.;
          Sched.yield rt m;
          Sched.await rt m fut));
-  if !crossed then
+  if !crossed then begin
     Alcotest.(check bool) "stolen env was promoted" true !got_global;
-  Alcotest.(check bool) "promotion bytes counted" true
-    ((Sched.stats rt).Sched.steal_promoted_bytes >= 0)
+    (* The victim services the steal: one batched promotion cycle,
+       attributed to the steal, copying the env's list. *)
+    let row = Gc_util.vproc_row c (Ctx.mutator c !victim) in
+    let steal = Obs.Gc_cause.(to_string (Promotion_batched Steal)) in
+    Alcotest.(check bool) "steal promotion cycle" true
+      (List.mem_assoc steal row.Metrics.causes);
+    Alcotest.(check bool) "promotion bytes counted" true
+      (Metrics.kind_bytes row Gc_trace.Promotion > 0)
+  end
 
 let test_result_promoted_across_vprocs () =
   let rt = mk_rt ~n_vprocs:2 () in
@@ -249,9 +259,9 @@ let test_gc_during_parallel_run () =
         Value.of_int total)
   in
   Alcotest.(check int) "all work done" (8 * (400 * 401 / 2)) (Value.to_int r);
-  let stats = Gc_stats.total (Array.map (fun i -> (Ctx.mutator c i).Ctx.stats)
-                                [| 0; 1; 2; 3 |]) in
-  Alcotest.(check bool) "minors ran" true (stats.Gc_stats.minor_count > 0);
+  let agg = Metrics.aggregate c.Ctx.metrics in
+  Alcotest.(check bool) "minors ran" true
+    (Metrics.kind_count agg Gc_trace.Minor > 0);
   Gc_util.assert_invariants c
 
 let suite =

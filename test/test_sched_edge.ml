@@ -388,7 +388,7 @@ let steal_traffic ~near =
            end
          in
          tree m 9));
-  let steals = (Sched.stats rt).Sched.steals in
+  let steals = (Metrics.aggregate ctx.Ctx.metrics).Metrics.steal_successes in
   let r = ctx.Ctx.obs in
   let topo = Numa.Cost_model.topology ctx.Ctx.cost in
   let n = Numa.Topology.n_nodes topo in
@@ -440,8 +440,8 @@ let test_no_thief_no_steal_attempts () =
 let test_steals_counted_exactly_once () =
   (* Two vprocs: the hunt has a single candidate victim, so an executed
      steal never probes an empty deque on the way — every recorded
-     attempt must be a success, and both must equal the scheduler's own
-     steal count.  The speculative-probe over-count this guards against
+     attempt must be a success, and both must equal the ring's
+     successes.  The speculative-probe over-count this guards against
      produced attempts far in excess of successes here. *)
   let rt = mk_rt ~n_vprocs:2 () in
   ignore
@@ -456,12 +456,23 @@ let test_steals_counted_exactly_once () =
          Ctx.charge_work (Sched.ctx rt) m ~cycles:4_000_000.;
          List.iter (fun f -> ignore (Sched.await rt m f)) futs;
          Value.unit));
-  let agg = Metrics.aggregate (Sched.ctx rt).Ctx.metrics in
-  let steals = (Sched.stats rt).Sched.steals in
-  Alcotest.(check bool) "steals happened" true (steals > 0);
+  let c = Sched.ctx rt in
+  let agg = Metrics.aggregate c.Ctx.metrics in
+  Alcotest.(check bool) "steals happened" true (agg.Metrics.steal_successes > 0);
   Alcotest.(check int) "attempts = successes (no empty probes possible)"
     agg.Metrics.steal_successes agg.Metrics.steal_attempts;
-  Alcotest.(check int) "metrics agree with scheduler stats" steals
+  let ring_successes =
+    List.fold_left
+      (fun acc v ->
+        acc
+        + List.length
+            (List.filter
+               (fun (_, _, ev) ->
+                 match ev with Obs.Event.Steal_success _ -> true | _ -> false)
+               (Obs.Recorder.events c.Ctx.obs ~vproc:v)))
+      0 [ 0; 1 ]
+  in
+  Alcotest.(check int) "metrics agree with the ring" ring_successes
     agg.Metrics.steal_successes
 
 let test_exception_does_not_poison_scheduler () =
