@@ -35,122 +35,136 @@ let mk_ctx ?(n_vprocs = 8) () =
 
 (* --- Collector-operation microbenchmarks ------------------------- *)
 
+(* Unroot every cell a run left rooted (the scheduler roots each
+   completed future's result and each channel), so the next run on the
+   same context starts from the same root sets. *)
+let unroot_all ctx =
+  let drop roots =
+    let cells = ref [] in
+    Roots.iter roots (fun c -> cells := c :: !cells);
+    List.iter (Roots.remove roots) !cells
+  in
+  Array.iter
+    (fun m ->
+      drop m.Ctx.roots;
+      drop m.Ctx.proxies)
+    ctx.Ctx.muts;
+  drop ctx.Ctx.global_roots
+
+(* A microbenchmark on a warm context: [Ctx.create] (milliseconds, more
+   than most of these operations) runs once, outside the timed closure,
+   and every run reuses its context.  A run must leave the context's
+   root sets as it found them, so that runs stay alike. *)
+let on_warm_ctx ~name ~n_vprocs run =
+  Test.make_with_resource ~name Test.uniq
+    ~allocate:(fun () -> mk_ctx ~n_vprocs ())
+    ~free:ignore (Staged.stage run)
+
 let bench_alloc =
-  Test.make ~name:"gc/alloc-vector"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:1 () in
-         let m = Ctx.mutator ctx 0 in
-         for i = 1 to 2_000 do
-           ignore (Alloc.alloc_vector ctx m [| Value.of_int i; Value.of_int i |])
-         done))
+  on_warm_ctx ~name:"gc/alloc-vector" ~n_vprocs:1 (fun ctx ->
+      let m = Ctx.mutator ctx 0 in
+      for i = 1 to 2_000 do
+        ignore (Alloc.alloc_vector ctx m [| Value.of_int i; Value.of_int i |])
+      done)
 
 let bench_minor =
-  Test.make ~name:"gc/minor-collection"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:1 () in
-         let m = Ctx.mutator ctx 0 in
-         let keep = Roots.add m.Ctx.roots (Value.of_int 0) in
-         for i = 1 to 200 do
-           Roots.set keep (Alloc.alloc_vector ctx m [| Value.of_int i; Roots.get keep |])
-         done;
-         Minor_gc.run ctx m))
+  on_warm_ctx ~name:"gc/minor-collection" ~n_vprocs:1 (fun ctx ->
+      let m = Ctx.mutator ctx 0 in
+      let keep = Roots.add m.Ctx.roots (Value.of_int 0) in
+      for i = 1 to 200 do
+        Roots.set keep (Alloc.alloc_vector ctx m [| Value.of_int i; Roots.get keep |])
+      done;
+      Minor_gc.run ctx m;
+      Roots.remove m.Ctx.roots keep)
 
 let bench_promote =
-  Test.make ~name:"gc/promotion"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:1 () in
-         let m = Ctx.mutator ctx 0 in
-         let keep = Roots.add m.Ctx.roots (Value.of_int 0) in
-         for i = 1 to 100 do
-           Roots.set keep (Alloc.alloc_vector ctx m [| Value.of_int i; Roots.get keep |])
-         done;
-         ignore (Promote.value ctx m (Roots.get keep))))
+  on_warm_ctx ~name:"gc/promotion" ~n_vprocs:1 (fun ctx ->
+      let m = Ctx.mutator ctx 0 in
+      let keep = Roots.add m.Ctx.roots (Value.of_int 0) in
+      for i = 1 to 100 do
+        Roots.set keep (Alloc.alloc_vector ctx m [| Value.of_int i; Roots.get keep |])
+      done;
+      ignore (Promote.value ctx m (Roots.get keep));
+      Roots.remove m.Ctx.roots keep)
 
 let bench_global_gc =
-  Test.make ~name:"gc/global-collection"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:4 () in
-         let m = Ctx.mutator ctx 0 in
-         for i = 1 to 300 do
-           ignore (Promote.value ctx m (Alloc.alloc_vector ctx m [| Value.of_int i |]))
-         done;
-         Global_gc.run ctx))
+  on_warm_ctx ~name:"gc/global-collection" ~n_vprocs:4 (fun ctx ->
+      let m = Ctx.mutator ctx 0 in
+      for i = 1 to 300 do
+        ignore (Promote.value ctx m (Alloc.alloc_vector ctx m [| Value.of_int i |]))
+      done;
+      Global_gc.run ctx)
 
 let bench_sched =
-  Test.make ~name:"runtime/spawn-steal-await"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:4 () in
-         let rt = Sched.create ctx in
-         ignore
-           (Sched.run rt ~main:(fun m ->
-                let futs =
-                  List.init 64 (fun i ->
-                      Sched.spawn rt m ~env:[||] (fun m' _ ->
-                          Ctx.charge_work ctx m' ~cycles:10_000.;
-                          Value.of_int i))
-                in
-                List.iter (fun f -> ignore (Sched.await rt m f)) futs;
-                Value.unit))))
+  on_warm_ctx ~name:"runtime/spawn-steal-await" ~n_vprocs:4 (fun ctx ->
+      let rt = Sched.create ctx in
+      ignore
+        (Sched.run rt ~main:(fun m ->
+             let futs =
+               List.init 64 (fun i ->
+                   Sched.spawn rt m ~env:[||] (fun m' _ ->
+                       Ctx.charge_work ctx m' ~cycles:10_000.;
+                       Value.of_int i))
+             in
+             List.iter (fun f -> ignore (Sched.await rt m f)) futs;
+             Value.unit));
+      unroot_all ctx)
 
 let bench_channels =
-  Test.make ~name:"runtime/channel-rendezvous"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:2 () in
-         let rt = Sched.create ctx in
-         ignore
-           (Sched.run rt ~main:(fun m ->
-                let ch = Sched.new_channel rt m in
-                let _ =
-                  Sched.spawn rt m ~env:[||] (fun m' _ ->
-                      for i = 1 to 50 do
-                        Sched.send rt m' ch (Value.of_int i)
-                      done;
-                      Value.unit)
-                in
-                let s = ref 0 in
-                for _ = 1 to 50 do
-                  s := !s + Value.to_int (Sched.recv rt m ch)
-                done;
-                Value.of_int !s))))
+  on_warm_ctx ~name:"runtime/channel-rendezvous" ~n_vprocs:2 (fun ctx ->
+      let rt = Sched.create ctx in
+      ignore
+        (Sched.run rt ~main:(fun m ->
+             let ch = Sched.new_channel rt m in
+             let _ =
+               Sched.spawn rt m ~env:[||] (fun m' _ ->
+                   for i = 1 to 50 do
+                     Sched.send rt m' ch (Value.of_int i)
+                   done;
+                   Value.unit)
+             in
+             let s = ref 0 in
+             for _ = 1 to 50 do
+               s := !s + Value.to_int (Sched.recv rt m ch)
+             done;
+             Value.of_int !s));
+      unroot_all ctx)
 
 let bench_events =
-  Test.make ~name:"runtime/sync-choice"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:2 () in
-         let rt = Sched.create ctx in
-         ignore
-           (Sched.run rt ~main:(fun m ->
-                let a = Sched.new_channel rt m in
-                let b = Sched.new_channel rt m in
-                let _ =
-                  Sched.spawn rt m ~env:[||] (fun m' _ ->
-                      for i = 1 to 25 do
-                        Sched.send rt m' (if i mod 2 = 0 then a else b)
-                          (Value.of_int i)
-                      done;
-                      Value.unit)
-                in
-                let s = ref 0 in
-                for _ = 1 to 25 do
-                  let _, v = Sched.select rt m [ a; b ] in
-                  s := !s + Value.to_int v
-                done;
-                Value.of_int !s))))
+  on_warm_ctx ~name:"runtime/sync-choice" ~n_vprocs:2 (fun ctx ->
+      let rt = Sched.create ctx in
+      ignore
+        (Sched.run rt ~main:(fun m ->
+             let a = Sched.new_channel rt m in
+             let b = Sched.new_channel rt m in
+             let _ =
+               Sched.spawn rt m ~env:[||] (fun m' _ ->
+                   for i = 1 to 25 do
+                     Sched.send rt m' (if i mod 2 = 0 then a else b)
+                       (Value.of_int i)
+                   done;
+                   Value.unit)
+             in
+             let s = ref 0 in
+             for _ = 1 to 25 do
+               let _, v = Sched.select rt m [ a; b ] in
+               s := !s + Value.to_int v
+             done;
+             Value.of_int !s));
+      unroot_all ctx)
 
 let bench_mutation =
-  Test.make ~name:"gc/write-barrier"
-    (Staged.stage (fun () ->
-         let ctx = mk_ctx ~n_vprocs:1 () in
-         let m = Ctx.mutator ctx 0 in
-         let r = Roots.add m.Ctx.roots (Mut.alloc_ref ctx m (Value.of_int 0)) in
-         Minor_gc.run ctx m;
-         Minor_gc.run ctx m;
-         for i = 1 to 500 do
-           let v = Alloc.alloc_vector ctx m [| Value.of_int i; Value.of_int i |] in
-           Mut.set ctx m (Roots.get r) v
-         done;
-         Minor_gc.run ctx m;
-         Roots.remove m.Ctx.roots r))
+  on_warm_ctx ~name:"gc/write-barrier" ~n_vprocs:1 (fun ctx ->
+      let m = Ctx.mutator ctx 0 in
+      let r = Roots.add m.Ctx.roots (Mut.alloc_ref ctx m (Value.of_int 0)) in
+      Minor_gc.run ctx m;
+      Minor_gc.run ctx m;
+      for i = 1 to 500 do
+        let v = Alloc.alloc_vector ctx m [| Value.of_int i; Value.of_int i |] in
+        Mut.set ctx m (Roots.get r) v
+      done;
+      Minor_gc.run ctx m;
+      Roots.remove m.Ctx.roots r)
 
 (* --- Heap-classification microbenchmark (--classify) --------------- *)
 
@@ -341,7 +355,7 @@ let benchmark () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
   in
@@ -1113,16 +1127,32 @@ let obs_overhead_main () =
       stream_overhead
 
 let bechamel_main () =
-  print_endline "Host-side cost of the simulator (bechamel, monotonic clock):";
+  print_endline
+    "Host-side cost of the simulator (bechamel: monotonic clock, and host \
+     words allocated on the minor heap):";
   let results = benchmark () in
-  let table = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
+  let estimate instance name =
+    match Hashtbl.find_opt (Hashtbl.find results (Measure.label instance)) name with
+    | Some ols -> (
+        match Analyze.OLS.estimates ols with Some [ est ] -> Some est | _ -> None)
+    | None -> None
+  in
+  let cell unit = function
+    | Some v -> Printf.sprintf "%.1f %s" v unit
+    | None -> "(no estimate)"
+  in
+  let names =
+    Hashtbl.fold
+      (fun name _ acc -> name :: acc)
+      (Hashtbl.find results (Measure.label Instance.monotonic_clock))
+      []
+  in
   List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "  %-45s %14.1f ns/run\n" name est
-      | _ -> Printf.printf "  %-45s (no estimate)\n" name)
-    (List.sort compare rows);
+    (fun name ->
+      Printf.printf "  %-48s %16s %18s\n" name
+        (cell "ns/run" (estimate Instance.monotonic_clock name))
+        (cell "words/run" (estimate Instance.minor_allocated name)))
+    (List.sort compare names);
   print_newline ();
   (* The actual paper artifacts, at CI scale: every table and figure. *)
   print_endline "Regenerating the paper's evaluation (fast scales) — see";

@@ -246,23 +246,28 @@ let finish_global t ~copied_by =
     t.global_budget_bytes <- in_use * 2;
   exit_collection t Gc_trace.Global
 
-let charge_ns m ns =
+(* Inlined so the charged amount reaches the clock unboxed: the store
+   into [now_ns] is the one allocation a charge makes. *)
+let[@inline] charge_ns m ns =
   m.now_ns <- m.now_ns +. ns;
   if m.in_gc then m.stats.Gc_stats.gc_ns <- m.stats.Gc_stats.gc_ns +. ns
 
-let charge_work t m ~cycles = charge_ns m (Numa.Cost_model.work t.cost ~cycles)
+let charge_work t m ~cycles =
+  charge_ns m (cycles /. (Numa.Cost_model.topology t.cost).Numa.Topology.ghz)
 
 let charge_access t m addr bytes =
   let dst_node = Memory.node_of_addr t.store.Store.mem addr in
   charge_ns m
     (Numa.Cost_model.access t.cost ~vproc:m.id ~dst_node ~addr ~bytes
        ~now_ns:m.now_ns)
+      .ns
 
 let charge_bulk t m addr bytes =
   let dst_node = Memory.node_of_addr t.store.Store.mem addr in
   charge_ns m
     (Numa.Cost_model.bulk t.cost ~vproc:m.id ~dst_node ~addr ~bytes
        ~now_ns:m.now_ns)
+      .ns
 
 (* From-space re-acquisition taint, the concurrent collector's
    dirtiness source: a handshake leaves a vproc holding no from-space
@@ -286,24 +291,35 @@ let conc_taint t m v =
         st.cg_taints.(m.id) <- st.cg_taints.(m.id) + 1
   | _ -> ()
 
-let read_word t m addr =
-  charge_access t m addr 8;
-  let w = Memory.get t.store.Store.mem addr in
-  (match t.conc with
+(* Taint [m] if the word [v] it just read at [addr] re-acquires a
+   from-space reference. *)
+let note_read t m addr v =
+  match t.conc with
   | Some st when not m.in_gc ->
       (* Raw-word pointer test (not [Value.of_word], which rejects
          headers): aligned, nonzero, even — a forwarding word to a
          condemned target counts too, exactly the stale-alias case. *)
       if
         in_condemned t addr
-        ||
-        let v = Int64.to_int w in
-        v <> 0
-        && v land 7 = 0
-        && (in_condemned t v || Global_heap.is_large t.global v)
+        || v <> 0
+           && v land 7 = 0
+           && (in_condemned t v || Global_heap.is_large t.global v)
       then st.cg_taints.(m.id) <- st.cg_taints.(m.id) + 1
-  | _ -> ());
+  | _ -> ()
+
+let read_word t m addr =
+  charge_access t m addr 8;
+  let w = Memory.get t.store.Store.mem addr in
+  note_read t m addr (Int64.to_int w);
   w
+
+(* [read_word] for a tagged word (a value, header or forwarding
+   address), without boxing it as an [int64]. *)
+let read_int t m addr =
+  charge_access t m addr 8;
+  let v = Memory.get_int t.store.Store.mem addr in
+  note_read t m addr v;
+  v
 
 let write_word t m addr w =
   charge_access t m addr 8;
@@ -316,22 +332,19 @@ let get_raw t m addr i = read_word t m (Obj_repr.field_addr addr i)
 let get_float t m addr i = Int64.float_of_bits (get_raw t m addr i)
 let header_of t m addr = read_word t m addr
 
-let resolve t m v =
-  if not (Value.is_ptr v) then v
-  else begin
-    let rec follow addr =
-      let h = header_of t m addr in
-      if Header.is_forward h then follow (Header.forward_addr h)
-      else Value.of_ptr addr
-    in
-    follow (Value.to_ptr v)
-  end
+(* Follow forwarding words from the object at [addr] to its current
+   copy. *)
+let rec follow t m addr =
+  let h = read_int t m addr in
+  if h land 1 = 0 then follow t m h else Value.of_ptr addr
+
+let resolve t m v = if Value.is_ptr v then follow t m (Value.to_ptr v) else v
 
 (* Field reads resolve forwarding on the returned pointer: an aliased
    object may have been promoted out from under this reference, and in a
    mutation-free heap following the forwarding word is always sound. *)
 let get_field t m addr i =
-  resolve t m (Value.of_word (read_word t m (Obj_repr.field_addr addr i)))
+  resolve t m (Value.of_int_word (read_int t m (Obj_repr.field_addr addr i)))
 
 let census t =
   Census.collect t.store

@@ -27,9 +27,10 @@ let measure topo ~streamers ~src_node ~dst_node ~mb_per_streamer =
       clocks;
     let i = !who in
     let ns =
-      Numa.Cost_model.bulk cost ~vproc:i ~dst_node
-        ~addr:(base i + cursor.(i))
-        ~bytes:step ~now_ns:clocks.(i)
+      (Numa.Cost_model.bulk cost ~vproc:i ~dst_node
+         ~addr:(base i + cursor.(i))
+         ~bytes:step ~now_ns:clocks.(i))
+        .Numa.Cost_model.ns
     in
     clocks.(i) <- clocks.(i) +. ns;
     cursor.(i) <- cursor.(i) + step;

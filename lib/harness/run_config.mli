@@ -11,7 +11,7 @@ type t = {
   bw_scale : int;
       (** divide bank/link *capacities* (not per-access costs) by this so
           the scaled workloads' traffic keeps the real machines'
-          traffic-to-capacity ratio; the harness default is 32 *)
+          traffic-to-capacity ratio; the harness default is 16 *)
   n_vprocs : int;
   policy : Page_policy.t;
   scale : float;  (** workload scale factor *)
@@ -36,7 +36,7 @@ type t = {
 
 val default : machine:Numa.Topology.t -> n_vprocs:int -> t
 (** Local placement, scale 1.0, cache scale 32, and heap parameters sized
-    for the scaled workloads (64 KB local heaps, 16 KB chunks, 256 KB
+    for the scaled workloads (64 KB local heaps, 20 KB chunks, 256 KB
     global budget per vproc). *)
 
 type outcome = {

@@ -38,5 +38,11 @@ val of_word : int64 -> t
 (** Raises [Invalid_argument] if the word is not a valid value (e.g. it
     is a header that escaped into a field). *)
 
+val of_int_word : int -> t
+(** [of_word] for a word already read as an int (by
+    [Sim_mem.Memory.get_int], which rejects the odd words that overflow):
+    raises [Invalid_argument] on a null or unaligned pointer, as
+    {!of_word} does. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

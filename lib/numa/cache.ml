@@ -32,41 +32,33 @@ let create ~size_kb ~line_bytes =
 
 let line_bytes t = 1 lsl t.line_bits
 
-let find t line =
-  let base = (line land t.set_mask) * t.ways in
-  let rec go i = if i >= t.ways then -1 else if t.tags.(base + i) = line then i else go (i + 1) in
-  (base, go 0)
-
-let promote_way t base i =
-  (* Move way [i] to the front of the recency order. *)
-  let line = t.tags.(base + i) in
-  for j = i downto 1 do
-    t.tags.(base + j) <- t.tags.(base + j - 1)
+(* Way holding [line] in the set starting at [base], or -1.  A plain
+   loop, not a local closure: this runs on every simulated access. *)
+let find t base line =
+  let i = ref 0 in
+  while !i < t.ways && t.tags.(base + !i) <> line do
+    incr i
   done;
-  t.tags.(base) <- line
+  if !i < t.ways then !i else -1
 
 let access t addr =
   let line = addr lsr t.line_bits in
-  let base, i = find t line in
-  if i >= 0 then begin
-    t.hits <- t.hits + 1;
-    if i > 0 then promote_way t base i;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    (* Evict the LRU way (last), insert at the front. *)
-    for j = t.ways - 1 downto 1 do
-      t.tags.(base + j) <- t.tags.(base + j - 1)
-    done;
-    t.tags.(base) <- line;
-    false
-  end
+  let base = (line land t.set_mask) * t.ways in
+  let i = find t base line in
+  (* Hit at way [i]: move it to the front.  Miss: evict the LRU way
+     (last) and insert at the front.  Either way the ways ahead of it
+     shift back by one. *)
+  let hit = i >= 0 in
+  if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+  for j = (if hit then i else t.ways - 1) downto 1 do
+    t.tags.(base + j) <- t.tags.(base + j - 1)
+  done;
+  t.tags.(base) <- line;
+  hit
 
 let probe t addr =
   let line = addr lsr t.line_bits in
-  let _, i = find t line in
-  i >= 0
+  find t ((line land t.set_mask) * t.ways) line >= 0
 
 let invalidate_range t ~lo ~hi =
   let lo_line = lo lsr t.line_bits and hi_line = hi lsr t.line_bits in

@@ -1,25 +1,9 @@
 let line_bytes = 64
 
-(* Debug aid: when MANTICORE_TRACE_PAGES is set, histogram miss traffic
-   by 4 KB page so hot spots can be located. *)
-let page_hist : (int, int) Hashtbl.t option =
-  match Sys.getenv_opt "MANTICORE_TRACE_PAGES" with
-  | Some _ -> Some (Hashtbl.create 1024)
-  | None -> None
-
-let note_miss addr =
-  match page_hist with
-  | None -> ()
-  | Some h ->
-      let p = addr lsr 12 in
-      Hashtbl.replace h p (1 + Option.value ~default:0 (Hashtbl.find_opt h p))
-
-let top_pages n =
-  match page_hist with
-  | None -> []
-  | Some h ->
-      let l = Hashtbl.fold (fun p c acc -> (c, p) :: acc) h [] in
-      List.filteri (fun i _ -> i < n) (List.sort (fun a b -> compare b a) l)
+(* Cost results are handed back in an all-float record, which OCaml
+   stores flat: writing one boxes nothing, where a float returned across
+   a library boundary would be boxed on every access. *)
+type cost = { mutable ns : float }
 
 type t = {
   topo : Topology.t;
@@ -30,6 +14,7 @@ type t = {
   links : Contention.t array array; (* directed, per (src, dst) pair *)
   l2_hit_ns : float;
   l3_hit_ns : float;
+  out : cost; (* the result cell [access] and [bulk] return *)
 }
 
 let create ?(cap_scale = 1.) topo ~n_vprocs ~vproc_node =
@@ -54,6 +39,7 @@ let create ?(cap_scale = 1.) topo ~n_vprocs ~vproc_node =
                 ~cap_scale ()));
     l2_hit_ns = 12. /. topo.Topology.ghz;
     l3_hit_ns = 40. /. topo.Topology.ghz;
+    out = { ns = 0. };
   }
 
 let topology t = t.topo
@@ -90,14 +76,14 @@ let access t ~vproc ~dst_node ~addr ~bytes ~now_ns =
     if Cache.access l2 la then cost := !cost +. t.l2_hit_ns
     else if Cache.access l3 la then cost := !cost +. t.l3_hit_ns
     else begin
-      note_miss la;
       (* Later lines of one access start after the earlier ones finish,
          so the queueing model must see the advanced clock. *)
       cost :=
         !cost +. line_fill t ~src ~dst:dst_node ~now_ns:(now_ns +. !cost)
     end
   done;
-  !cost
+  t.out.ns <- !cost;
+  t.out
 
 let bulk t ~vproc ~dst_node ~addr ~bytes ~now_ns =
   let src = t.vproc_node.(vproc) in
@@ -120,7 +106,6 @@ let bulk t ~vproc ~dst_node ~addr ~bytes ~now_ns =
       else if hit3 then
         if full then t.l3_hit_ns else t.l3_hit_ns /. float_of_int depth
       else begin
-        note_miss la;
         (* Streaming: the prefetch pipeline hides the transfer's service
            time under the (amortized) latency, but queueing overflow on a
            saturated bank or link cannot be hidden. *)
@@ -134,9 +119,8 @@ let bulk t ~vproc ~dst_node ~addr ~bytes ~now_ns =
     in
     cost := !cost +. c
   done;
-  !cost
-
-let work t ~cycles = cycles /. t.topo.Topology.ghz
+  t.out.ns <- !cost;
+  t.out
 
 let invalidate_range t ~lo ~hi =
   Array.iter (fun c -> Cache.invalidate_range c ~lo ~hi) t.l2;

@@ -8,6 +8,12 @@
 
 type t
 
+type cost = { mutable ns : float }
+(** The cell {!access} and {!bulk} hand their result back in.  An
+    all-float record is stored flat, so a cost returned this way is not
+    boxed on every simulated access.  Each model owns one cell, which
+    the next {!access} or {!bulk} call overwrites: read [ns] at once. *)
+
 val create :
   ?cap_scale:float -> Topology.t -> n_vprocs:int -> vproc_node:(int -> int) ->
   t
@@ -21,8 +27,8 @@ val vproc_node : t -> int -> int
 
 val access :
   t -> vproc:int -> dst_node:int -> addr:int -> bytes:int -> now_ns:float ->
-  float
-(** Cost in ns of a load or store by [vproc] touching [bytes] bytes at
+  cost
+(** Cost in ns, in the returned cell, of a load or store by [vproc] touching [bytes] bytes at
     simulated byte address [addr] resident on [dst_node]'s bank.  Probes
     the vproc's L2 and its node's L3 per cache line; misses pay the NUMA
     base latency plus a bandwidth term, inflated by bank and link
@@ -30,14 +36,11 @@ val access :
 
 val bulk :
   t -> vproc:int -> dst_node:int -> addr:int -> bytes:int -> now_ns:float ->
-  float
+  cost
 (** Like {!access} for large streaming transfers (GC copying, chunk
     scanning): charged per line with the same cache and contention
     treatment but a single amortized probe per 4 lines, reflecting
     hardware prefetch on sequential scans. *)
-
-val work : t -> cycles:float -> float
-(** Pure compute: [cycles / GHz] ns. *)
 
 val invalidate_range : t -> lo:int -> hi:int -> unit
 (** Invalidate every cache (all vprocs' L2s, all L3s) for a reclaimed
@@ -49,10 +52,6 @@ val link_utilization : t -> src:int -> dst:int -> now_ns:float -> float
 
 val l2_hit_rate : t -> vproc:int -> float
 val l3_hit_rate : t -> node:int -> float
-
-val top_pages : int -> (int * int) list
-(** Debug: [(miss_count, page)] hot pages when MANTICORE_TRACE_PAGES is
-    set (empty otherwise). *)
 
 val reset_meters : t -> unit
 (** Zero all contention meters and cache statistics (not cache contents). *)

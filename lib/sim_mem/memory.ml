@@ -44,6 +44,14 @@ let n_pages t = Bytes.length t.page_node
 let page_of_addr t addr = addr lsr t.page_bits
 
 let get t addr = Bigarray.Array1.get t.words (Addr.word_index addr)
+
+let get_int t addr =
+  let w = Bigarray.Array1.get t.words (Addr.word_index addr) in
+  let v = Int64.to_int w in
+  if v land 1 = 1 && Int64.of_int v <> w then
+    invalid_arg "Memory.get_int: odd word does not fit in an int";
+  v
+
 let set t addr v = Bigarray.Array1.set t.words (Addr.word_index addr) v
 
 let is_mapped t addr =

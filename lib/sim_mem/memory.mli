@@ -24,6 +24,14 @@ val get : t -> int -> int64
 (** [get t addr] reads the word at byte address [addr] (must be aligned
     and mapped). *)
 
+val get_int : t -> int -> int
+(** [get_int t addr] is [Int64.to_int (get t addr)], read without boxing
+    an [int64]: the read for tagged words (values, headers and
+    forwarding addresses) on the simulated access path.  Checks [addr]
+    as {!get} does.  An odd word is a tagged immediate or header, which
+    dropping bit 63 would change, so one that does not fit in an OCaml
+    int raises [Invalid_argument]. *)
+
 val set : t -> int -> int64 -> unit
 
 val node_of_addr : t -> int -> int

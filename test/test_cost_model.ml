@@ -7,7 +7,7 @@ let mk ?(cap_scale = 1.) ?(machine = Machines.amd48) ?(n_vprocs = 4) () =
   Cost_model.create ~cap_scale machine ~n_vprocs ~vproc_node:(fun v -> v mod 2)
 
 let cold_access cm ~vproc ~dst addr =
-  Cost_model.access cm ~vproc ~dst_node:dst ~addr ~bytes:8 ~now_ns:0.
+  (Cost_model.access cm ~vproc ~dst_node:dst ~addr ~bytes:8 ~now_ns:0.).ns
 
 let test_numa_ordering () =
   (* A cold miss costs local < same-package < cross-package on AMD. *)
@@ -44,9 +44,12 @@ let test_l3_shared_within_node () =
     true (sibling < stranger)
 
 let test_work_is_ghz_scaled () =
-  let cm = mk () in
+  let ctx = Gc_util.mk_ctx ~machine:Machines.amd48 () in
+  let m = Manticore_gc.Ctx.mutator ctx 0 in
+  let t0 = m.Manticore_gc.Ctx.now_ns in
+  Manticore_gc.Ctx.charge_work ctx m ~cycles:100.;
   Alcotest.(check (float 1e-9)) "cycles / GHz" (100. /. 2.1)
-    (Cost_model.work cm ~cycles:100.)
+    (m.Manticore_gc.Ctx.now_ns -. t0)
 
 let test_cap_scale_preserves_uncontended () =
   (* Scaling capacity must not change an isolated access's cost. *)
@@ -60,8 +63,9 @@ let test_cap_scale_saturates_sooner () =
     for i = 0 to 5000 do
       total :=
         !total
-        +. Cost_model.bulk cm ~vproc:0 ~dst_node:5 ~addr:(0x100000 + (i * 64))
-             ~bytes:64 ~now_ns:!total
+        +. (Cost_model.bulk cm ~vproc:0 ~dst_node:5 ~addr:(0x100000 + (i * 64))
+              ~bytes:64 ~now_ns:!total)
+             .ns
     done;
     !total
   in

@@ -9,7 +9,18 @@ let test_memory_rw () =
   Memory.map_pages m ~first_page:1 ~n_pages:2 ~node_of_page:(fun _ -> 0);
   Memory.set m 4096 0x1234L;
   Alcotest.(check int64) "read back" 0x1234L (Memory.get m 4096);
-  Alcotest.(check int64) "fresh pages zeroed" 0L (Memory.get m 4104)
+  Alcotest.(check int64) "fresh pages zeroed" 0L (Memory.get m 4104);
+  Alcotest.(check int) "read back as an int" 0x1234 (Memory.get_int m 4096);
+  Alcotest.check_raises "unaligned" (Invalid_argument "Addr.word_index: unaligned")
+    (fun () -> ignore (Memory.get_int m 4100));
+  (* An even word keeps its low 63 bits, as Int64.to_int does; an odd
+     one that does not fit is rejected. *)
+  Memory.set m 4104 Int64.min_int;
+  Alcotest.(check int) "wide even word" 0 (Memory.get_int m 4104);
+  Memory.set m 4104 (Int64.add Int64.min_int 1L);
+  Alcotest.check_raises "wide odd word"
+    (Invalid_argument "Memory.get_int: odd word does not fit in an int")
+    (fun () -> ignore (Memory.get_int m 4104))
 
 let test_memory_node_lookup () =
   let m = mk_mem () in
