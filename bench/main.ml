@@ -1165,27 +1165,61 @@ let bechamel_main () =
   print_endline (Harness.Figures.fig7 ~fast:true ());
   print_endline (Harness.Figures.gc_report ~fast:true ())
 
+open Cmdliner
+
+type mode = Default | Classify | Obs_overhead | Promote | Server | Global
+
+let mode_arg =
+  let choice mode name doc = (mode, Arg.info [ name ] ~doc) in
+  Arg.(
+    value
+    & vflag Default
+        [
+          choice Classify "classify" "Page-table classifier vs list walks.";
+          choice Obs_overhead "obs-overhead"
+            "Recorder and telemetry host cost (fails at 5% or more).";
+          choice Promote "promote" "Promotion write buffer (BENCH_6.json).";
+          choice Server "server" "Server latency-SLO sweep (BENCH_7.json).";
+          choice Global "global" "STW vs concurrent global GC (BENCH_8.json).";
+        ])
+
+let metrics_json_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "metrics-json" ] ~docv:"FILE"
+        ~doc:"Write the metrics as JSON (alone: instrumented runs, no bechamel).")
+
+let slices_arg =
+  let at_least_one s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error "expected an integer of at least 1"
+  in
+  Arg.(
+    value
+    & opt (some (conv' (at_least_one, Format.pp_print_int))) None
+    & info [ "conc-parallel-slices" ] ~docv:"N"
+        ~doc:"Collector slices per scheduler turn (with $(b,--global)).")
+
+let main mode json slices =
+  match (mode, json, slices) with
+  | Global, _, _ -> `Ok (global_main ?slices json)
+  | _, _, Some _ -> `Error (true, "--conc-parallel-slices needs --global")
+  | Default, None, None -> `Ok (bechamel_main ())
+  | Default, Some path, None -> `Ok (metrics_main path)
+  | Promote, _, None -> `Ok (promote_main json)
+  | Server, _, None -> `Ok (server_main json)
+  | (Classify | Obs_overhead), Some _, None ->
+      `Error (true, "--metrics-json is not accepted with this mode")
+  | Classify, None, None -> `Ok (classify_main ())
+  | Obs_overhead, None, None -> `Ok (obs_overhead_main ())
+
 let () =
-  match Sys.argv with
-  | [| _ |] -> bechamel_main ()
-  | [| _; "--metrics-json"; path |] -> metrics_main path
-  | [| _; "--classify" |] -> classify_main ()
-  | [| _; "--obs-overhead" |] -> obs_overhead_main ()
-  | [| _; "--promote" |] -> promote_main None
-  | [| _; "--promote"; "--metrics-json"; path |] -> promote_main (Some path)
-  | [| _; "--server" |] -> server_main None
-  | [| _; "--server"; "--metrics-json"; path |] -> server_main (Some path)
-  | [| _; "--global" |] -> global_main None
-  | [| _; "--global"; "--metrics-json"; path |] -> global_main (Some path)
-  | [| _; "--global"; "--conc-parallel-slices"; n |] ->
-      global_main ~slices:(int_of_string n) None
-  | [| _; "--global"; "--conc-parallel-slices"; n; "--metrics-json"; path |] ->
-      global_main ~slices:(int_of_string n) (Some path)
-  | [| _; "--global"; "--metrics-json"; path; "--conc-parallel-slices"; n |] ->
-      global_main ~slices:(int_of_string n) (Some path)
-  | _ ->
-      prerr_endline
-        "usage: main.exe [--metrics-json FILE | --classify | --obs-overhead \
-         | --promote [--metrics-json FILE] | --server [--metrics-json FILE] \
-         | --global [--conc-parallel-slices N] [--metrics-json FILE]]";
-      exit 2
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"Host-side cost of the simulator, and the BENCH_* artifacts."
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info
+          Term.(ret (const main $ mode_arg $ metrics_json_arg $ slices_arg))))

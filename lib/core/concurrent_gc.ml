@@ -31,7 +31,7 @@
    Parallelism: [step_turn] additionally dispatches up to
    [Params.conc_parallel_slices - 1] *assist* evacuation slices on
    distinct idle vprocs in the same scheduler turn; per-chunk claims
-   ([Ctx.cg_claims]) keep the helpers on distinct chunks, with takeover
+   ([Ctx.ts_claims]) keep the helpers on distinct chunks, with takeover
    (paying the claim sync again) guaranteeing progress.
 
    Soundness leans on the simulator's step-atomicity: a slice runs to
@@ -46,101 +46,13 @@
 open Heap
 open Sim_mem
 
-let paranoid =
-  match Sys.getenv_opt "MANTICORE_PARANOID" with
-  | Some ("1" | "true") -> true
-  | _ -> false
-
 let active = Ctx.conc_active
 
-(* From-space test: condemned chunks and large objects.  Large objects
-   are marked (not copied); "evacuating" an already-marked one is a
-   no-op, and fresh larges allocated mid-cycle get marked the first time
-   a live reference to them is forwarded. *)
-let in_from ctx addr =
-  match Global_heap.find_chunk ctx.Ctx.global addr with
-  | Some c -> c.Chunk.from_space
-  | None -> Global_heap.is_large ctx.Ctx.global addr
+let evacuator ctx (st : Ctx.conc_state) m =
+  Forward.evacuator ctx st.Ctx.cg_space m
 
-let min_clock_vproc ctx =
-  let muts = ctx.Ctx.muts in
-  let best = ref 0 in
-  Array.iteri
-    (fun i (m : Ctx.mutator) ->
-      if m.Ctx.now_ns < muts.(!best).Ctx.now_ns then best := i)
-    muts;
-  muts.(!best)
-
-let dest_for ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  Forward.global_dest ctx m ~on_copy:(fun dst bytes ->
-      if Global_heap.is_large ctx.Ctx.global dst then
-        Queue.add dst st.Ctx.cg_large
-      else
-        st.Ctx.cg_copied_by.(m.Ctx.id) <- st.Ctx.cg_copied_by.(m.Ctx.id) + bytes)
-
-(* Scan one to-space object, evacuating its from-space targets.  A
-   proxy's referent may legitimately point into its owner's local heap
-   and is left to the owner's local collections. *)
-let scan_tospace_object ctx ~dest (m : Ctx.mutator) addr =
-  let store = ctx.Ctx.store in
-  let h = Ctx.read_word ctx m addr in
-  Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
-  let inf = in_from ctx in
-  (if Header.id h = Header.proxy_id then begin
-     let r = Proxy.referent store addr in
-     if Value.is_ptr r then
-       match Heap_index.local_owner store.Store.index (Value.to_ptr r) with
-       | Some _ -> ()
-       | None ->
-           Forward.forward_field ctx m ~dest ~in_from:inf
-             (Obj_repr.field_addr addr 0)
-   end
-   else
-     Obj_repr.iter_pointer_slots store addr (fun fa ->
-         Forward.forward_field ctx m ~dest ~in_from:inf fa));
-  (Header.length_words h + 1) * 8
-
-(* To-space scanning work: the queue of marked large objects plus any
-   chunk whose scan pointer trails its allocation pointer (promotions
-   during the cycle reopen chunks, which is exactly what keeps
-   mid-cycle-promoted data reachable). *)
-let chunk_pending c = c.Chunk.scan_ptr < c.Chunk.alloc_ptr
-
-(* Chunk selection with claim arbitration: prefer this vproc's current
-   chunk, then unclaimed (or own-claimed) pending chunks near home, and
-   only take over another vproc's claim when nothing else is pending —
-   the takeover pays the claim sync again, and guarantees the fixpoint
-   always makes progress even if a claimant never returns. *)
-let pick_chunk ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  let to_chunks = Global_heap.in_use ctx.Ctx.global in
-  let claimed_by_other c =
-    match Hashtbl.find_opt st.Ctx.cg_claims c.Chunk.id with
-    | Some v -> v <> m.Ctx.id
-    | None -> false
-  in
-  let mine c = chunk_pending c && not (claimed_by_other c) in
-  let own_current =
-    match Global_heap.current ctx.Ctx.global ~vproc:m.Ctx.id with
-    | Some c when mine c -> Some c
-    | _ -> None
-  in
-  match own_current with
-  | Some c -> Some c
-  | None -> (
-      match
-        List.find_opt
-          (fun c -> mine c && c.Chunk.home_node = m.Ctx.node)
-          to_chunks
-      with
-      | Some c -> Some c
-      | None -> (
-          match List.find_opt mine to_chunks with
-          | Some c -> Some c
-          | None -> List.find_opt chunk_pending to_chunks))
-
-let work_pending ctx (st : Ctx.conc_state) =
-  (not (Queue.is_empty st.Ctx.cg_large))
-  || List.exists chunk_pending (Global_heap.in_use ctx.Ctx.global)
+let copied (st : Ctx.conc_state) (m : Ctx.mutator) =
+  st.Ctx.cg_space.Ctx.ts_copied_by.(m.Ctx.id)
 
 (* Draining-generation work left in [cg_drain]. *)
 let drain_pending (st : Ctx.conc_state) =
@@ -156,15 +68,21 @@ let dirty (st : Ctx.conc_state) (m : Ctx.mutator) =
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One finished slice on [m]: a Global begin/end pair (so the pause
-   distributions and gcprof see each slice as its own bounded pause)
-   plus Conc_phase duration events for per-phase attribution.  The
-   per-slice pauses deliberately omit the cause — it is counted once per
-   collection, on the ratify records. *)
-let record_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~t_start
-    ~phases ~bytes =
+(* Run [work] on [m] as one slice, in collector context, and report it:
+   a Global begin/end pair (so the pause distributions and gcprof see
+   each slice as its own bounded pause) plus Conc_phase duration events
+   — the time [work] adds to [claim_ns] as [Claim], the rest as [phase].
+   The per-slice pauses deliberately omit the cause — it is counted once
+   per collection, on the ratify records. *)
+let slice ?(claim_ns = ref 0.) ctx (st : Ctx.conc_state) (m : Ctx.mutator)
+    phase work =
+  let t0 = m.Ctx.now_ns in
+  m.Ctx.in_gc <- true;
+  let b0 = copied st m in
+  work ();
+  m.Ctx.in_gc <- false;
   let cause = st.Ctx.cg_cause in
-  Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:t_start;
+  Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:t0;
   List.iter
     (fun (phase, dur_ns) ->
       if dur_ns > 0. then
@@ -175,35 +93,20 @@ let record_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~t_start
                phase;
                dur_ns = int_of_float dur_ns;
              }))
-    phases;
-  Ctx.coll_end ~count_cause:false ctx m Gc_trace.Global ~cause ~t_start
-    ~t_end:m.Ctx.now_ns ~bytes
+    [
+      (Obs.Event.Claim, !claim_ns);
+      (phase, m.Ctx.now_ns -. t0 -. !claim_ns);
+    ];
+  Ctx.coll_end ~count_cause:false ctx m Gc_trace.Global ~cause ~t_start:t0
+    ~t_end:m.Ctx.now_ns ~bytes:(copied st m - b0)
 
 (* ------------------------------------------------------------------ *)
 (* Slices                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let forward_roots ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  let dest = dest_for ctx st m in
-  let inf = in_from ctx in
-  let store = ctx.Ctx.store in
-  Roots.iter m.Ctx.roots (fun c -> Forward.forward_cell ctx m ~dest ~in_from:inf c);
-  Roots.iter m.Ctx.proxies (fun c ->
-      Forward.forward_cell ctx m ~dest ~in_from:inf c);
-  (* Unlike the STW entry (which runs a minor first), the nursery is live
-     here: walk both local regions for from-space referents. *)
-  let lh = m.Ctx.lh in
-  Major_gc.walk_objects store ~lo:lh.Local_heap.base ~hi:lh.Local_heap.old_top
-    (fun addr -> Forward.scan_fields ctx m ~dest ~in_from:inf addr);
-  Major_gc.walk_objects store ~lo:lh.Local_heap.nursery_base
-    ~hi:lh.Local_heap.alloc_ptr (fun addr ->
-      Forward.scan_fields ctx m ~dest ~in_from:inf addr)
-
 let handshake ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  let t0 = m.Ctx.now_ns in
-  m.Ctx.in_gc <- true;
+  slice ctx st m Obs.Event.Handshake @@ fun () ->
   Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.handshake_cycles;
-  let b0 = st.Ctx.cg_copied_by.(m.Ctx.id) in
   (* Run this vproc's local collections first, exactly as the STW entry
      does — bounded and per-vproc, no barrier.  This consumes every
      pre-cycle forwarding word in the evacuated local area (the major
@@ -213,29 +116,24 @@ let handshake ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
      major promotes land past [scan_ptr] in to-space chunks, so the
      cycle's Cheney scan greys them automatically. *)
   Major_gc.run ~cause:st.Ctx.cg_cause ctx m;
-  forward_roots ctx st m;
+  Forward.forward_roots ctx (evacuator ctx st m);
   st.Ctx.cg_entered.(m.Ctx.id) <- true;
   (* Snapshot the taint *after* the forwarding above: pre-handshake
      from-space reads are made irrelevant by the handshake itself, so
      dirtiness from here on means genuine re-acquisition. *)
-  st.Ctx.cg_hs_taints.(m.Ctx.id) <- st.Ctx.cg_taints.(m.Ctx.id);
-  m.Ctx.in_gc <- false;
-  record_slice ctx st m ~t_start:t0
-    ~phases:[ (Obs.Event.Handshake, m.Ctx.now_ns -. t0) ]
-    ~bytes:(st.Ctx.cg_copied_by.(m.Ctx.id) - b0)
+  st.Ctx.cg_hs_taints.(m.Ctx.id) <- st.Ctx.cg_taints.(m.Ctx.id)
 
 let evacuate_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  let t0 = m.Ctx.now_ns in
-  m.Ctx.in_gc <- true;
-  let b0 = st.Ctx.cg_copied_by.(m.Ctx.id) in
-  let dest = dest_for ctx st m in
-  let budget = ref ctx.Ctx.params.Params.conc_slice_bytes in
   let claim_ns = ref 0. in
-  while !budget > 0 && work_pending ctx st do
-    match Queue.take_opt st.Ctx.cg_large with
-    | Some addr -> budget := !budget - scan_tospace_object ctx ~dest m addr
+  slice ~claim_ns ctx st m Obs.Event.Evacuate @@ fun () ->
+  let ts = st.Ctx.cg_space in
+  let ev = evacuator ctx st m in
+  let budget = ref ctx.Ctx.params.Params.conc_slice_bytes in
+  while !budget > 0 && Forward.pending ctx ts do
+    match Queue.take_opt ts.Ctx.ts_large with
+    | Some addr -> budget := !budget - Forward.scan_tospace_object ctx ev addr
     | None -> (
-        match pick_chunk ctx st m with
+        match Forward.pick_chunk ctx ts m with
         | None ->
             (* Pending work exists but every pending chunk is claimed
                elsewhere and the takeover fallback found nothing either —
@@ -245,26 +143,20 @@ let evacuate_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
             (* Claiming a chunk (first claim or takeover) is a node-local
                synchronization; track its cost separately for phase
                attribution. *)
-            if Hashtbl.find_opt st.Ctx.cg_claims c.Chunk.id <> Some m.Ctx.id
+            if Hashtbl.find_opt ts.Ctx.ts_claims c.Chunk.id <> Some m.Ctx.id
             then begin
               let t = m.Ctx.now_ns in
-              Hashtbl.replace st.Ctx.cg_claims c.Chunk.id m.Ctx.id;
+              Hashtbl.replace ts.Ctx.ts_claims c.Chunk.id m.Ctx.id;
               Ctx.charge_work ctx m
                 ~cycles:ctx.Ctx.params.Params.chunk_local_sync_cycles;
               claim_ns := !claim_ns +. (m.Ctx.now_ns -. t)
             end;
-            while !budget > 0 && chunk_pending c do
-              let sz = scan_tospace_object ctx ~dest m c.Chunk.scan_ptr in
+            while !budget > 0 && c.Chunk.scan_ptr < c.Chunk.alloc_ptr do
+              let sz = Forward.scan_tospace_object ctx ev c.Chunk.scan_ptr in
               c.Chunk.scan_ptr <- c.Chunk.scan_ptr + sz;
               budget := !budget - sz
             done)
-  done;
-  m.Ctx.in_gc <- false;
-  let total = m.Ctx.now_ns -. t0 in
-  record_slice ctx st m ~t_start:t0
-    ~phases:
-      [ (Obs.Event.Claim, !claim_ns); (Obs.Event.Evacuate, total -. !claim_ns) ]
-    ~bytes:(st.Ctx.cg_copied_by.(m.Ctx.id) - b0)
+  done
 
 (* Flip the mutation-log generations: materialize the active log in
    address order as the new draining generation and clear it so mutators
@@ -287,8 +179,7 @@ let flip_log ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
    re-forward them.  The generation is iterated in address order
    (deterministic evacuation order). *)
 let drain_some ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~max_slots =
-  let dest = dest_for ctx st m in
-  let inf = in_from ctx in
+  let ev = evacuator ctx st m in
   let stop =
     min (Array.length st.Ctx.cg_drain) (st.Ctx.cg_drain_pos + max_slots)
   in
@@ -296,21 +187,15 @@ let drain_some ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~max_slots =
     let slot = st.Ctx.cg_drain.(st.Ctx.cg_drain_pos) in
     st.Ctx.cg_drain_pos <- st.Ctx.cg_drain_pos + 1;
     Ctx.charge_work ctx m ~cycles:2.;
-    Forward.forward_field ctx m ~dest ~in_from:inf slot
+    ev.Forward.field slot
   done
 
 let drain_slots_per_slice = 128
 
 let drain_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  let t0 = m.Ctx.now_ns in
-  m.Ctx.in_gc <- true;
-  let b0 = st.Ctx.cg_copied_by.(m.Ctx.id) in
+  slice ctx st m Obs.Event.Mark @@ fun () ->
   if not (drain_pending st) then flip_log ctx st m;
-  drain_some ctx st m ~max_slots:drain_slots_per_slice;
-  m.Ctx.in_gc <- false;
-  record_slice ctx st m ~t_start:t0
-    ~phases:[ (Obs.Event.Mark, m.Ctx.now_ns -. t0) ]
-    ~bytes:(st.Ctx.cg_copied_by.(m.Ctx.id) - b0)
+  drain_some ctx st m ~max_slots:drain_slots_per_slice
 
 (* Drain both generations to empty — the in-barrier residual drain.
    Collector work cannot append to the log, so one flip suffices. *)
@@ -333,11 +218,6 @@ let drain_all ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
    holding the stale local address resolves through the word), so they
    are evacuated rather than dropped: floating garbage for one cycle,
    the standard trade of a concurrent collector. *)
-let condemned ctx a =
-  match Global_heap.find_chunk ctx.Ctx.global a with
-  | Some c -> c.Chunk.from_space
-  | None -> false
-
 let walk_forward_words ctx (m : Ctx.mutator) f =
   let store = ctx.Ctx.store in
   let lh = m.Ctx.lh in
@@ -369,26 +249,21 @@ let walk_forward_words ctx (m : Ctx.mutator) f =
    vproc, no new condemned-target word can appear in its local heap —
    which is what lets the ratify barrier skip the walk for clean
    vprocs. *)
-let keep_pass ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
+let keep_pass ctx (ev : Forward.evacuator) =
+  let m = ev.Forward.m in
   walk_forward_words ctx m (fun src target ->
-      if condemned ctx target then begin
+      if Ctx.from_space ctx ~large:false target then begin
         (if not (Header.is_forward (Ctx.read_word ctx m target)) then
-           ignore (Forward.evacuate ctx m ~dest:(dest_for ctx st m) target));
+           ignore (Forward.evacuate ctx m ~dest:ev.Forward.dest target));
         let th = Ctx.read_word ctx m target in
         if Header.is_forward th then
           Ctx.write_word ctx m src (Header.forward (Header.forward_addr th))
       end)
 
 let keep_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  let t0 = m.Ctx.now_ns in
-  m.Ctx.in_gc <- true;
-  let b0 = st.Ctx.cg_copied_by.(m.Ctx.id) in
-  keep_pass ctx st m;
-  st.Ctx.cg_keep_done.(m.Ctx.id) <- true;
-  m.Ctx.in_gc <- false;
-  record_slice ctx st m ~t_start:t0
-    ~phases:[ (Obs.Event.Retarget, m.Ctx.now_ns -. t0) ]
-    ~bytes:(st.Ctx.cg_copied_by.(m.Ctx.id) - b0)
+  slice ctx st m Obs.Event.Retarget @@ fun () ->
+  keep_pass ctx (evacuator ctx st m);
+  st.Ctx.cg_keep_done.(m.Ctx.id) <- true
 
 (* A vproc that tainted after its handshake would force the ratify
    barrier to stop it and rescan its full root set and local heap — the
@@ -402,17 +277,11 @@ let keep_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
 let max_reclean_rounds = 3
 
 let reclean_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
-  let t0 = m.Ctx.now_ns in
-  m.Ctx.in_gc <- true;
+  slice ctx st m Obs.Event.Handshake @@ fun () ->
   Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.handshake_cycles;
-  let b0 = st.Ctx.cg_copied_by.(m.Ctx.id) in
-  forward_roots ctx st m;
+  Forward.forward_roots ctx (evacuator ctx st m);
   st.Ctx.cg_reclean.(m.Ctx.id) <- st.Ctx.cg_reclean.(m.Ctx.id) + 1;
-  st.Ctx.cg_hs_taints.(m.Ctx.id) <- st.Ctx.cg_taints.(m.Ctx.id);
-  m.Ctx.in_gc <- false;
-  record_slice ctx st m ~t_start:t0
-    ~phases:[ (Obs.Event.Handshake, m.Ctx.now_ns -. t0) ]
-    ~bytes:(st.Ctx.cg_copied_by.(m.Ctx.id) - b0)
+  st.Ctx.cg_hs_taints.(m.Ctx.id) <- st.Ctx.cg_taints.(m.Ctx.id)
 
 (* ------------------------------------------------------------------ *)
 (* Ratify: the one short barrier that finishes the cycle               *)
@@ -431,18 +300,10 @@ let ratify ctx (st : Ctx.conc_state) =
      With nothing dirty the min-clock vproc ratifies alone and its entry
      wait is zero. *)
   let lead =
-    if not dirty_only then min_clock_vproc ctx
-    else begin
-      let best = ref None in
-      Array.iter
-        (fun (m : Ctx.mutator) ->
-          if dirty st m then
-            match !best with
-            | Some (b : Ctx.mutator) when b.Ctx.now_ns <= m.Ctx.now_ns -> ()
-            | _ -> best := Some m)
-        muts;
-      match !best with Some m -> m | None -> min_clock_vproc ctx
-    end
+    match Array.find_opt (dirty st) muts with
+    | Some d when dirty_only ->
+        Forward.min_clock_vproc ~among:(dirty st) ~first:d ctx
+    | _ -> Forward.min_clock_vproc ctx
   in
   let ratified =
     Array.map
@@ -450,22 +311,18 @@ let ratify ctx (st : Ctx.conc_state) =
         (not dirty_only) || m.Ctx.id = lead.Ctx.id || dirty st m)
       muts
   in
-  let iter_r f =
-    Array.iter (fun (m : Ctx.mutator) -> if ratified.(m.Ctx.id) then f m) muts
-  in
+  let is_ratified (m : Ctx.mutator) = ratified.(m.Ctx.id) in
+  let iter_r f = Array.iter (fun m -> if is_ratified m then f m) muts in
   let n_ratified =
     Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 ratified
   in
+  let ts = st.Ctx.cg_space in
+  let evs = Array.map (evacuator ctx st) muts in
   let arrivals = Array.map (fun (m : Ctx.mutator) -> m.Ctx.now_ns) muts in
-  let copied_before = Array.copy st.Ctx.cg_copied_by in
+  let copied_before = Array.copy ts.Ctx.ts_copied_by in
   iter_r (fun m ->
       Ctx.coll_begin ctx m Gc_trace.Global ~cause ~t_ns:m.Ctx.now_ns);
-  let t_sync =
-    Array.fold_left
-      (fun acc (m : Ctx.mutator) ->
-        if ratified.(m.Ctx.id) then Float.max acc m.Ctx.now_ns else acc)
-      0. muts
-  in
+  let t_sync = Forward.max_clock ~among:is_ratified ctx in
   (* Entry round: the straggler is the last ratified vproc to arrive —
      it alone bounded [t_sync] — and the wait is the spread it imposed
      on the earliest arrival. *)
@@ -495,44 +352,15 @@ let ratify ctx (st : Ctx.conc_state) =
      no rescan — their handshake cleared every from-space reference and
      the generation/store counters prove nothing was re-acquired. *)
   drain_all ctx st lead;
-  iter_r (fun m -> forward_roots ctx st m);
-  (let dest = dest_for ctx st lead in
-   Roots.iter ctx.Ctx.global_roots (fun c ->
-       Forward.forward_cell ctx lead ~dest ~in_from:(in_from ctx) c));
-  let min_clock_ratified () =
-    let best = ref lead in
-    Array.iter
-      (fun (m : Ctx.mutator) ->
-        if ratified.(m.Ctx.id) && m.Ctx.now_ns < !best.Ctx.now_ns then
-          best := m)
-      muts;
-    !best
-  in
-  let fixpoint () =
-    while work_pending ctx st do
-      let m = min_clock_ratified () in
-      match Queue.take_opt st.Ctx.cg_large with
-      | Some addr ->
-          ignore (scan_tospace_object ctx ~dest:(dest_for ctx st m) m addr)
-      | None -> (
-          match pick_chunk ctx st m with
-          | None -> Ctx.charge_work ctx m ~cycles:100.
-          | Some c ->
-              let dest = dest_for ctx st m in
-              let stop = c.Chunk.alloc_ptr in
-              while c.Chunk.scan_ptr < stop do
-                let sz = scan_tospace_object ctx ~dest m c.Chunk.scan_ptr in
-                c.Chunk.scan_ptr <- c.Chunk.scan_ptr + sz
-              done)
-    done
-  in
-  fixpoint ();
+  iter_r (fun m -> Forward.forward_roots ctx evs.(m.Ctx.id));
+  Roots.iter ctx.Ctx.global_roots evs.(lead.Ctx.id).Forward.cell;
+  Forward.cheney ~among:is_ratified ~first:lead ctx ts evs;
   (* Conservative keep for the stopped vprocs (their mutation since the
      concurrent keep slice may reference from-space data the rescan just
      evacuated); skipped vprocs already ran [keep_slice] concurrently
      and provably gained no new condemned-target words since. *)
-  iter_r (fun m -> keep_pass ctx st m);
-  fixpoint ();
+  iter_r (fun m -> keep_pass ctx evs.(m.Ctx.id));
+  Forward.cheney ~among:is_ratified ~first:lead ctx ts evs;
   (* Pre-release audit (env CONC_GC_AUDIT, CI fuzz campaigns): before
      from-space is released, every root, proxy, local-heap field and
      local forwarding word of *every* vproc — skipped ones included —
@@ -545,27 +373,24 @@ let ratify ctx (st : Ctx.conc_state) =
   (if Sys.getenv_opt "CONC_GC_AUDIT" <> None then begin
      let store = ctx.Ctx.store in
      let peek = Sim_mem.Memory.get store.Store.mem in
+     let condemned a = Ctx.from_space ctx ~large:false a in
      Array.iter
        (fun (m : Ctx.mutator) ->
          let bad what addr target =
            Printf.eprintf "AUDIT v%d %s %#x -> condemned %#x (ratified=%b)\n%!"
              m.Ctx.id what addr target ratified.(m.Ctx.id)
          in
-         Roots.iter m.Ctx.roots (fun c ->
-             let v = Roots.get c in
-             if Value.is_ptr v && condemned ctx (Value.to_ptr v) then
-               bad "root" 0 (Value.to_ptr v));
-         Roots.iter m.Ctx.proxies (fun c ->
-             let v = Roots.get c in
-             if Value.is_ptr v && condemned ctx (Value.to_ptr v) then
-               bad "proxy" 0 (Value.to_ptr v));
+         let check what addr v =
+           if Value.is_ptr v && condemned (Value.to_ptr v) then
+             bad what addr (Value.to_ptr v)
+         in
+         Roots.iter m.Ctx.roots (fun c -> check "root" 0 (Roots.get c));
+         Roots.iter m.Ctx.proxies (fun c -> check "proxy" 0 (Roots.get c));
          let lh = m.Ctx.lh in
          let fields lo hi =
-           Major_gc.walk_objects store ~lo ~hi (fun addr ->
+           Forward.walk_objects store ~lo ~hi (fun addr ->
                Obj_repr.iter_pointer_slots store addr (fun fa ->
-                   let v = Value.of_word (peek fa) in
-                   if Value.is_ptr v && condemned ctx (Value.to_ptr v) then
-                     bad "field" addr (Value.to_ptr v)))
+                   check "field" addr (Value.of_word (peek fa))))
          in
          fields lh.Local_heap.base lh.Local_heap.old_top;
          fields lh.Local_heap.nursery_base lh.Local_heap.alloc_ptr;
@@ -575,7 +400,7 @@ let ratify ctx (st : Ctx.conc_state) =
              let h = peek !addr in
              if Header.is_forward h then begin
                let target = Header.forward_addr h in
-               if condemned ctx target then bad "fwdword" !addr target;
+               if condemned target then bad "fwdword" !addr target;
                let th = peek target in
                let final =
                  if Header.is_forward th then Header.forward_addr th
@@ -591,27 +416,12 @@ let ratify ctx (st : Ctx.conc_state) =
        muts;
      Roots.iter ctx.Ctx.global_roots (fun c ->
          let v = Roots.get c in
-         if Value.is_ptr v && condemned ctx (Value.to_ptr v) then
+         if Value.is_ptr v && condemned (Value.to_ptr v) then
            Printf.eprintf "AUDIT global root -> condemned %#x\n%!"
              (Value.to_ptr v))
    end);
-  (* Release from-space and sweep large objects. *)
-  List.iter
-    (fun c ->
-      c.Chunk.from_space <- false;
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id
-        ~t_ns:lead.Ctx.now_ns
-        (Obs.Event.Chunk_release { node = c.Chunk.home_node });
-      Chunk.release (Global_heap.pool ctx.Ctx.global) c)
-    st.Ctx.cg_from;
-  st.Ctx.cg_from <- [];
-  ignore (Global_heap.sweep_large ctx.Ctx.global);
-  let t_exit =
-    Array.fold_left
-      (fun acc (m : Ctx.mutator) ->
-        if ratified.(m.Ctx.id) then Float.max acc m.Ctx.now_ns else acc)
-      0. muts
-  in
+  Forward.release ctx ts ~lead;
+  let t_exit = Forward.max_clock ~among:is_ratified ctx in
   (* Exit round: the straggler is the ratified vproc whose in-barrier
      work ran longest (it bounded [t_exit]); everyone else's wait is the
      time they idled for it.  The whole barrier span [t_sync, t_exit]
@@ -644,7 +454,7 @@ let ratify ctx (st : Ctx.conc_state) =
       Ctx.barrier_wait ctx m ~cause ~t_to:t_exit;
       m.Ctx.in_gc <- false);
   iter_r (fun m ->
-      let bytes = st.Ctx.cg_copied_by.(m.Ctx.id) - copied_before.(m.Ctx.id) in
+      let bytes = copied st m - copied_before.(m.Ctx.id) in
       Ctx.coll_end ctx m Gc_trace.Global ~cause ~t_start:arrivals.(m.Ctx.id)
         ~t_end:m.Ctx.now_ns ~bytes);
   Array.iter
@@ -667,15 +477,7 @@ let ratify ctx (st : Ctx.conc_state) =
          slices = st.Ctx.cg_slices;
        });
   ctx.Ctx.conc <- None;
-  Ctx.finish_global ctx ~copied_by:st.Ctx.cg_copied_by;
-  if paranoid then begin
-    match Ctx.check_invariants ctx with
-    | Ok _ -> ()
-    | Error errs ->
-        prerr_string (Obs.Recorder.dump_tail ctx.Ctx.obs);
-        failwith
-          ("concurrent GC paranoid check failed:\n" ^ String.concat "\n" errs)
-  end
+  Ctx.finish_global ctx ~collector:"concurrent GC" ~copied_by:ts.Ctx.ts_copied_by
 
 (* ------------------------------------------------------------------ *)
 (* Driver API                                                          *)
@@ -684,42 +486,32 @@ let ratify ctx (st : Ctx.conc_state) =
 let start ?(cause = Obs.Gc_cause.Forced) ctx =
   if not (active ctx) then begin
     Ctx.enter_collection ctx;
-    let m = min_clock_vproc ctx in
-    let t0 = m.Ctx.now_ns in
-    m.Ctx.in_gc <- true;
-    let from = Global_heap.take_all_in_use ctx.Ctx.global in
-    List.iter (fun c -> c.Chunk.from_space <- true) from;
-    (* Condemning is a flag flip per chunk plus one pool-level sync. *)
-    Ctx.charge_work ctx m
-      ~cycles:
-        (ctx.Ctx.params.Params.chunk_local_sync_cycles
-        +. (4. *. float_of_int (List.length from)));
+    let m = Forward.min_clock_vproc ctx in
     let n = Ctx.n_vprocs ctx in
     let st =
       {
         Ctx.cg_cause = cause;
-        cg_from = from;
-        cg_large = Queue.create ();
+        cg_space = Forward.condemn ctx;
         cg_log = Remember.create ();
         cg_drain = [||];
         cg_drain_pos = 0;
-        cg_copied_by = Array.make n 0;
         cg_entered = Array.make n false;
         cg_keep_done = Array.make n false;
         cg_taints = Array.make n 0;
         cg_hs_taints = Array.make n 0;
         cg_reclean = Array.make n 0;
-        cg_claims = Hashtbl.create 16;
-        cg_t_start = t0;
+        cg_t_start = m.Ctx.now_ns;
         cg_slices = 0;
         cg_cycle = ctx.Ctx.stats.Gc_stats.global_count;
       }
     in
     ctx.Ctx.conc <- Some st;
-    m.Ctx.in_gc <- false;
-    record_slice ctx st m ~t_start:t0
-      ~phases:[ (Obs.Event.Mark, m.Ctx.now_ns -. t0) ]
-      ~bytes:0
+    (* Condemning is a flag flip per chunk plus one pool-level sync. *)
+    slice ctx st m Obs.Event.Mark @@ fun () ->
+    Ctx.charge_work ctx m
+      ~cycles:
+        (ctx.Ctx.params.Params.chunk_local_sync_cycles
+        +. (4. *. float_of_int (List.length st.Ctx.cg_space.Ctx.ts_from)))
   end
 
 let step ctx =
@@ -727,12 +519,12 @@ let step ctx =
   | None -> false
   | Some st ->
       st.Ctx.cg_slices <- st.Ctx.cg_slices + 1;
-      let m = min_clock_vproc ctx in
+      let m = Forward.min_clock_vproc ctx in
       if not st.Ctx.cg_entered.(m.Ctx.id) then begin
         handshake ctx st m;
         true
       end
-      else if work_pending ctx st then begin
+      else if Forward.pending ctx st.Ctx.cg_space then begin
         evacuate_slice ctx st m;
         true
       end
@@ -793,7 +585,8 @@ let assist ctx (m : Ctx.mutator) =
   match ctx.Ctx.conc with
   | None -> false
   | Some st ->
-      if st.Ctx.cg_entered.(m.Ctx.id) && work_pending ctx st then begin
+      if st.Ctx.cg_entered.(m.Ctx.id) && Forward.pending ctx st.Ctx.cg_space
+      then begin
         st.Ctx.cg_slices <- st.Ctx.cg_slices + 1;
         evacuate_slice ctx st m;
         true
@@ -804,7 +597,7 @@ let step_turn ctx ~idle =
   match ctx.Ctx.conc with
   | None -> false
   | Some st ->
-      let lead = min_clock_vproc ctx in
+      let lead = Forward.min_clock_vproc ctx in
       (* Assists may only consume idle time that has already passed for
          some other vproc: a vproc behind the virtual-time frontier (the
          max clock) is provably idle over [now, frontier] and its assist
@@ -812,11 +605,7 @@ let step_turn ctx ~idle =
          fabricate delay — inflating ratify skew and postponing whatever
          becomes runnable next — so such vprocs sit slices out.  Clock
          overshoot is thereby bounded by one slice past the frontier. *)
-      let frontier =
-        Array.fold_left
-          (fun acc (m : Ctx.mutator) -> Float.max acc m.Ctx.now_ns)
-          0. ctx.Ctx.muts
-      in
+      let frontier = Forward.max_clock ctx in
       let in_flight = step ctx in
       let extra = ctx.Ctx.params.Params.conc_parallel_slices - 1 in
       if in_flight && extra > 0 then begin

@@ -44,6 +44,12 @@
     O(live global data) — that is where the bounded-pause claim comes
     from.
 
+    Evacuation runs on {!Forward}'s to-space core, shared with
+    {!Global_gc}: the same from-space test, root forwarding, object
+    scan, chunk pick, Cheney fixpoint (in the ratify) and release.  This
+    module adds the scheduling — slices, handshakes, the mutation log,
+    the keep pass, claims and the ratify barrier.
+
     Telemetry: every slice and the ratify span are recorded as their own
     [Global] pauses (the per-slice pause is the headline metric), with
     [Conc_phase] events attributing slice time to

@@ -13,13 +13,24 @@ type mutator = {
   stats : Gc_stats.t;
 }
 
+(* One global collection's evacuation state, shared by the STW and the
+   concurrent collector (built by [Forward.condemn]). *)
+type tospace = {
+  mutable ts_from : Sim_mem.Chunk.t list;  (* condemned (from-space) chunks *)
+  ts_large : int Queue.t;  (* marked large objects pending a field scan *)
+  ts_copied_by : int array;  (* bytes evacuated, per vproc *)
+  ts_claims : (int, int) Hashtbl.t;
+      (* Chunk.id -> claiming vproc, for parallel evacuation slices:
+         helpers prefer unclaimed chunks and pay the claim sync again on
+         a takeover, so two slices in one turn scan distinct chunks *)
+}
+
 (* In-flight concurrent global collection.  The state lives here (not in
    Concurrent_gc) so the mutator write barrier, the scheduler, and the
    checkers can consult it without a dependency cycle. *)
 type conc_state = {
   cg_cause : Obs.Gc_cause.t;
-  mutable cg_from : Sim_mem.Chunk.t list;  (* condemned (from-space) chunks *)
-  cg_large : int Queue.t;  (* marked large objects pending a field scan *)
+  cg_space : tospace;
   cg_log : Remember.t;
       (* mutation log, active generation (N+1): global slots stored to
          while evacuation is in progress — re-forwarded before the
@@ -30,7 +41,6 @@ type conc_state = {
          snapshot the collector is working through while mutators keep
          appending to [cg_log].  Only the flip itself needs the barrier. *)
   mutable cg_drain_pos : int;  (* next unprocessed slot in [cg_drain] *)
-  cg_copied_by : int array;  (* bytes evacuated, per vproc *)
   cg_entered : bool array;  (* per-vproc root handshake done *)
   cg_keep_done : bool array;
       (* per-vproc overlapped conservative-keep pass done (local
@@ -51,10 +61,6 @@ type conc_state = {
          barrier-free while the cycle is otherwise quiescent (bounded
          rounds), so the ratify barrier stops only vprocs dirtied since
          their last re-clean *)
-  cg_claims : (int, int) Hashtbl.t;
-      (* Chunk.id -> claiming vproc, for parallel evacuation slices:
-         helpers prefer unclaimed chunks and pay the claim sync again on
-         a takeover, so two slices in one turn scan distinct chunks *)
   cg_t_start : float;  (* virtual time the collection started *)
   mutable cg_slices : int;
   cg_cycle : int;
@@ -158,7 +164,7 @@ let n_vprocs t = Array.length t.muts
 let conc_active t = t.conc <> None
 
 let conc_from_chunks t =
-  match t.conc with None -> [] | Some st -> st.cg_from
+  match t.conc with None -> [] | Some st -> st.cg_space.ts_from
 let set_safe_point_hook t f = t.safe_point_hook <- f
 let request_global_gc t = t.global_gc_pending <- true
 let set_global_budget t b = t.global_budget_bytes <- b
@@ -233,8 +239,28 @@ let barrier_wait t (m : mutator) ~cause ~t_to =
   m.now_ns <- t_to;
   coll_end t m Gc_trace.Barrier ~cause ~t_start:t_from ~t_end:t_to ~bytes:0
 
+let check_invariants t =
+  (* Mutated old-to-young slots recorded in remembered sets are legal
+     transient states; tell the checker which slots those are. *)
+  let remembered slot =
+    Array.exists (fun m -> Remember.mem m.remembered slot) t.muts
+  in
+  (* While a concurrent evacuation is in flight, local forwarding words
+     may target objects that were themselves evacuated (a chain the
+     ratify pause retargets); tell the checker to tolerate them. *)
+  Invariants.check t.store ~remembered ~evacuating:(conc_active t)
+    ~locals:(Array.map (fun m -> m.lh) t.muts)
+    ~global:t.global
+
+(* Re-check the whole heap after every global collection
+   (MANTICORE_PARANOID=1); used to localize heap corruption in tests. *)
+let paranoid =
+  match Sys.getenv_opt "MANTICORE_PARANOID" with
+  | Some ("1" | "true") -> true
+  | _ -> false
+
 (* The tail every global collection shares, STW or concurrent. *)
-let finish_global t ~copied_by =
+let finish_global t ~collector ~copied_by =
   t.stats.Gc_stats.global_count <- t.stats.Gc_stats.global_count + 1;
   t.stats.Gc_stats.global_copied_bytes <-
     t.stats.Gc_stats.global_copied_bytes + Array.fold_left ( + ) 0 copied_by;
@@ -244,7 +270,16 @@ let finish_global t ~copied_by =
   let in_use = Global_heap.in_use_bytes t.global in
   if in_use * 3 / 2 > t.global_budget_bytes then
     t.global_budget_bytes <- in_use * 2;
-  exit_collection t Gc_trace.Global
+  exit_collection t Gc_trace.Global;
+  if paranoid then
+    match check_invariants t with
+    | Ok _ -> ()
+    | Error errs ->
+        (* Post-mortem: the flight recorder's tail is the best record of
+           what the collectors were doing when the heap went bad. *)
+        prerr_string (Obs.Recorder.dump_tail t.obs);
+        failwith
+          (collector ^ " paranoid check failed:\n" ^ String.concat "\n" errs)
 
 (* Inlined so the charged amount reaches the clock unboxed: the store
    into [now_ns] is the one allocation a charge makes. *)
@@ -269,6 +304,16 @@ let charge_bulk t m addr bytes =
        ~now_ns:m.now_ns)
       .ns
 
+(* The from-space test of both global collectors: [addr] is in a chunk
+   the running collection condemned, or — with [large] — in a large
+   object, which is marked in place rather than copied (evacuating a
+   marked one is a no-op).  One page-table read; allocates nothing. *)
+let from_space t ~large addr =
+  match Heap_index.region t.store.Store.index addr with
+  | Heap_index.Global_chunk c -> c.Chunk.from_space
+  | Heap_index.Large _ -> large
+  | Heap_index.Free | Heap_index.Local _ -> false
+
 (* From-space re-acquisition taint, the concurrent collector's
    dirtiness source: a handshake leaves a vproc holding no from-space
    reference, so to stash one again the mutator must first *read* it —
@@ -278,16 +323,10 @@ let charge_bulk t m addr bytes =
    Counting those reads lets the ratify barrier skip every vproc whose
    counter is unchanged since its handshake.  Collector-context reads
    ([in_gc]) forward from-space data by design and never taint. *)
-let in_condemned t addr =
-  match Global_heap.find_chunk t.global addr with
-  | Some c -> c.Chunk.from_space
-  | None -> false
-
 let conc_taint t m v =
   match t.conc with
   | Some st when (not m.in_gc) && Value.is_ptr v ->
-      let p = Value.to_ptr v in
-      if in_condemned t p || Global_heap.is_large t.global p then
+      if from_space t ~large:true (Value.to_ptr v) then
         st.cg_taints.(m.id) <- st.cg_taints.(m.id) + 1
   | _ -> ()
 
@@ -300,10 +339,8 @@ let note_read t m addr v =
          headers): aligned, nonzero, even — a forwarding word to a
          condemned target counts too, exactly the stale-alias case. *)
       if
-        in_condemned t addr
-        || v <> 0
-           && v land 7 = 0
-           && (in_condemned t v || Global_heap.is_large t.global v)
+        from_space t ~large:false addr
+        || (v <> 0 && v land 7 = 0 && from_space t ~large:true v)
       then st.cg_taints.(m.id) <- st.cg_taints.(m.id) + 1
   | _ -> ()
 
@@ -348,18 +385,5 @@ let get_field t m addr i =
 
 let census t =
   Census.collect t.store
-    ~locals:(Array.map (fun m -> m.lh) t.muts)
-    ~global:t.global
-
-let check_invariants t =
-  (* Mutated old-to-young slots recorded in remembered sets are legal
-     transient states; tell the checker which slots those are. *)
-  let remembered slot =
-    Array.exists (fun m -> Remember.mem m.remembered slot) t.muts
-  in
-  (* While a concurrent evacuation is in flight, local forwarding words
-     may target objects that were themselves evacuated (a chain the
-     ratify pause retargets); tell the checker to tolerate them. *)
-  Invariants.check t.store ~remembered ~evacuating:(conc_active t)
     ~locals:(Array.map (fun m -> m.lh) t.muts)
     ~global:t.global

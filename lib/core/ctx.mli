@@ -31,13 +31,23 @@ type mutator = {
           counts and bytes are in {!field-metrics} *)
 }
 
+type tospace = {
+  mutable ts_from : Sim_mem.Chunk.t list;
+      (** condemned (from-space) chunks awaiting release; their
+          [Chunk.from_space] flags are set until then *)
+  ts_large : int Queue.t;
+      (** marked large objects whose fields still need scanning *)
+  ts_copied_by : int array;  (** bytes evacuated, per vproc *)
+  ts_claims : (int, int) Hashtbl.t;
+      (** [Chunk.id -> vproc] evacuation claims for parallel slices
+          (empty under the STW collector) *)
+}
+(** One global collection's evacuation state, STW or concurrent; built
+    by {!Forward.condemn} and driven by the to-space functions there. *)
+
 type conc_state = {
   cg_cause : Obs.Gc_cause.t;  (** why this collection was requested *)
-  mutable cg_from : Sim_mem.Chunk.t list;
-      (** condemned (from-space) chunks still awaiting evacuation; their
-          [Chunk.from_space] flags are set for the cycle's duration *)
-  cg_large : int Queue.t;
-      (** marked large objects whose fields still need scanning *)
+  cg_space : tospace;  (** the cycle's from-space and to-space work *)
   cg_log : Remember.t;
       (** mutation log, active generation: global slots the write
           barrier saw stores to while evacuation was in progress.
@@ -47,7 +57,6 @@ type conc_state = {
       (** mutation log, draining generation: an address-sorted snapshot
           the collector works through concurrently *)
   mutable cg_drain_pos : int;  (** next unprocessed slot in [cg_drain] *)
-  cg_copied_by : int array;  (** bytes evacuated, per vproc *)
   cg_entered : bool array;  (** per-vproc root handshake done *)
   cg_keep_done : bool array;
       (** per-vproc overlapped conservative-keep pass done *)
@@ -62,8 +71,6 @@ type conc_state = {
       (** per-vproc count of barrier-free re-clean slices this cycle
           (re-handshakes of tainted vprocs while the cycle is quiescent,
           so the ratify stops only vprocs dirtied since) *)
-  cg_claims : (int, int) Hashtbl.t;
-      (** [Chunk.id -> vproc] evacuation claims for parallel slices *)
   cg_t_start : float;  (** virtual time the collection started *)
   mutable cg_slices : int;  (** collector slices run so far *)
   cg_cycle : int;
@@ -208,12 +215,15 @@ val barrier_wait : t -> mutator -> cause:Obs.Gc_cause.t -> t_to:float -> unit
 (** [m] waits at a synchronization point: advance its clock to [t_to]
     and report the gap as a [Barrier] span. *)
 
-val finish_global : t -> copied_by:int array -> unit
+val finish_global : t -> collector:string -> copied_by:int array -> unit
 (** The end of every global collection, STW or concurrent: count it and
     its copied bytes ([copied_by] per vproc) in {!field-stats}, clear
     {!field-global_gc_pending}, grow the global budget to twice the live
     data when that data exceeds two thirds of it, and close the
-    {!enter_collection} bracket. *)
+    {!enter_collection} bracket.  Under [MANTICORE_PARANOID=1] it then
+    runs {!check_invariants}; on failure it prints the flight
+    recorder's tail and raises [Failure "<collector> paranoid check
+    failed: ..."]. *)
 
 (** {2 Charging} *)
 
@@ -224,6 +234,14 @@ val read_word : t -> mutator -> int -> int64
     flight, mutator-context loads that touch a condemned address or
     return a from-space pointer bump the vproc's re-acquisition taint
     (see {!conc_state}). *)
+
+val from_space : t -> large:bool -> int -> bool
+(** [from_space t ~large addr]: [addr] lies in a chunk the running
+    global collection condemned ([Chunk.from_space]) or, when [large],
+    in a large-object region (larges are marked in place, so every one
+    counts as from-space).  One page-table read; allocates nothing.
+    The one from-space test of both global collectors and of the
+    concurrent read-taint. *)
 
 val conc_taint : t -> mutator -> Value.t -> unit
 (** Explicit taint for values that reach [m] without a heap read — a

@@ -1,4 +1,5 @@
 open Heap
+open Sim_mem
 
 type dest = { alloc_dst : int -> int; on_copy : int -> int -> unit }
 
@@ -152,3 +153,178 @@ let forward_cell ctx m ~dest ~in_from cell =
 let scan_fields ctx m ~dest ~in_from addr =
   Obj_repr.iter_pointer_slots ctx.Ctx.store addr (fun field_addr ->
       forward_field ctx m ~dest ~in_from field_addr)
+
+(* Walk the objects of [lo, hi), calling [f addr] for each object header
+   (skipping objects that were promoted away and left forwarding words).
+   Object sizes are read uncharged; the GC charges the field traffic it
+   actually generates. *)
+let walk_objects store ~lo ~hi f =
+  let addr = ref lo in
+  while !addr < hi do
+    let h = Obj_repr.header store !addr in
+    if Header.is_forward h then begin
+      (* A promoted object: its body follows the forwarding word; size
+         comes from the (live) global copy.  During a global collection
+         that copy may itself already be forwarded into to-space —
+         follow the chain to a real header (every copy has the same
+         length). *)
+      let rec live a depth =
+        let h = Obj_repr.header store a in
+        if Header.is_forward h && depth < 8 then
+          live (Header.forward_addr h) (depth + 1)
+        else a
+      in
+      addr := !addr + Obj_repr.total_bytes store (live (Header.forward_addr h) 0)
+    end
+    else begin
+      f !addr;
+      addr := !addr + ((Header.length_words h + 1) * 8)
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
+(* To-space: the core both global collectors share                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Parallel collector work is simulated by handing each unit to the vproc
+   with the smallest virtual clock; on a tie [first] (default vproc 0)
+   keeps it, then the lowest id wins. *)
+let min_clock_vproc ?(among = fun _ -> true) ?first ctx =
+  let muts = ctx.Ctx.muts in
+  let best = ref (match first with Some m -> m | None -> muts.(0)) in
+  for i = 0 to Array.length muts - 1 do
+    let m = muts.(i) in
+    if among m && m.Ctx.now_ns < !best.Ctx.now_ns then best := m
+  done;
+  !best
+
+let max_clock ?(among = fun _ -> true) ctx =
+  let muts = ctx.Ctx.muts in
+  let t = ref 0. in
+  for i = 0 to Array.length muts - 1 do
+    if among muts.(i) then t := Float.max !t muts.(i).Ctx.now_ns
+  done;
+  !t
+
+let condemn ctx =
+  let from = Global_heap.take_all_in_use ctx.Ctx.global in
+  List.iter (fun c -> c.Chunk.from_space <- true) from;
+  {
+    Ctx.ts_from = from;
+    ts_large = Queue.create ();
+    ts_copied_by = Array.make (Ctx.n_vprocs ctx) 0;
+    ts_claims = Hashtbl.create 16;
+  }
+
+type evacuator = {
+  m : Ctx.mutator;
+  dest : dest;
+  field : int -> unit;
+  cell : Roots.cell -> unit;
+}
+
+let evacuator ctx (ts : Ctx.tospace) (m : Ctx.mutator) =
+  let dest =
+    global_dest ctx m ~on_copy:(fun dst bytes ->
+        if Global_heap.is_large ctx.Ctx.global dst then
+          Queue.add dst ts.Ctx.ts_large
+        else
+          ts.Ctx.ts_copied_by.(m.Ctx.id) <- ts.Ctx.ts_copied_by.(m.Ctx.id) + bytes)
+  in
+  let in_from = Ctx.from_space ctx ~large:true in
+  {
+    m;
+    dest;
+    field = forward_field ctx m ~dest ~in_from;
+    cell = forward_cell ctx m ~dest ~in_from;
+  }
+
+(* Both local regions are walked: the nursery is empty after the STW
+   entry minor, but live under the concurrent collector. *)
+let forward_roots ctx ev =
+  let store = ctx.Ctx.store and lh = ev.m.Ctx.lh in
+  Roots.iter ev.m.Ctx.roots ev.cell;
+  Roots.iter ev.m.Ctx.proxies ev.cell;
+  let scan addr = Obj_repr.iter_pointer_slots store addr ev.field in
+  walk_objects store ~lo:lh.Local_heap.base ~hi:lh.Local_heap.old_top scan;
+  walk_objects store ~lo:lh.Local_heap.nursery_base
+    ~hi:lh.Local_heap.alloc_ptr scan
+
+(* A proxy's referent may legitimately point into its owner's local heap
+   and is left to the owner's local collections. *)
+let scan_tospace_object ctx ev addr =
+  let store = ctx.Ctx.store in
+  let h = Ctx.read_word ctx ev.m addr in
+  Ctx.charge_work ctx ev.m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
+  (if Header.id h = Header.proxy_id then begin
+     let r = Proxy.referent store addr in
+     if Value.is_ptr r then
+       match Heap_index.region store.Store.index (Value.to_ptr r) with
+       | Heap_index.Local _ -> ()
+       | _ -> ev.field (Obj_repr.field_addr addr 0)
+   end
+   else Obj_repr.iter_pointer_slots store addr ev.field);
+  (Header.length_words h + 1) * 8
+
+(* Promotions during a concurrent cycle reopen chunks, which is exactly
+   what keeps mid-cycle-promoted data reachable. *)
+let chunk_pending c = c.Chunk.scan_ptr < c.Chunk.alloc_ptr
+
+let pending ctx (ts : Ctx.tospace) =
+  (not (Queue.is_empty ts.Ctx.ts_large))
+  || List.exists chunk_pending (Global_heap.in_use ctx.Ctx.global)
+
+(* Prefer this vproc's current chunk, then unclaimed (or own-claimed)
+   pending chunks near home, and only take over another vproc's claim
+   when nothing else is pending — the takeover pays the claim sync again,
+   and guarantees the scan always makes progress even if a claimant never
+   returns. *)
+let pick_chunk ctx (ts : Ctx.tospace) (m : Ctx.mutator) =
+  let to_chunks = Global_heap.in_use ctx.Ctx.global in
+  let mine c =
+    chunk_pending c
+    &&
+    match Hashtbl.find_opt ts.Ctx.ts_claims c.Chunk.id with
+    | Some v -> v = m.Ctx.id
+    | None -> true
+  in
+  match Global_heap.current ctx.Ctx.global ~vproc:m.Ctx.id with
+  | Some c when mine c -> Some c
+  | _ -> (
+      match
+        List.find_opt (fun c -> mine c && c.Chunk.home_node = m.Ctx.node) to_chunks
+      with
+      | Some c -> Some c
+      | None -> (
+          match List.find_opt mine to_chunks with
+          | Some c -> Some c
+          | None -> List.find_opt chunk_pending to_chunks))
+
+let cheney ?among ?first ctx ts evs =
+  while pending ctx ts do
+    let ev = evs.((min_clock_vproc ?among ?first ctx).Ctx.id) in
+    match Queue.take_opt ts.Ctx.ts_large with
+    | Some addr -> ignore (scan_tospace_object ctx ev addr)
+    | None -> (
+        match pick_chunk ctx ts ev.m with
+        | None ->
+            (* This vproc has nothing to claim; bring it level with the
+               next clock so another vproc gets picked. *)
+            Ctx.charge_work ctx ev.m ~cycles:100.
+        | Some c ->
+            let stop = c.Chunk.alloc_ptr in
+            while c.Chunk.scan_ptr < stop do
+              let sz = scan_tospace_object ctx ev c.Chunk.scan_ptr in
+              c.Chunk.scan_ptr <- c.Chunk.scan_ptr + sz
+            done)
+  done
+
+let release ctx (ts : Ctx.tospace) ~(lead : Ctx.mutator) =
+  List.iter
+    (fun c ->
+      Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:lead.Ctx.now_ns
+        (Obs.Event.Chunk_release { node = c.Chunk.home_node });
+      Chunk.release (Global_heap.pool ctx.Ctx.global) c)
+    ts.Ctx.ts_from;
+  ts.Ctx.ts_from <- [];
+  ignore (Global_heap.sweep_large ctx.Ctx.global)

@@ -1,19 +1,4 @@
 open Heap
-open Sim_mem
-
-let leader ctx =
-  let best = ref 0 in
-  Array.iteri
-    (fun i (m : Ctx.mutator) ->
-      if m.Ctx.now_ns < (Ctx.mutator ctx !best).Ctx.now_ns then best := i)
-    ctx.Ctx.muts;
-  !best
-
-(* Which vproc's local heap holds [addr], if any — a single page-index
-   read (the seed looped over every vproc's heap here, and Invariants
-   carried a second copy of the loop). *)
-let local_owner ctx addr =
-  Heap_index.local_owner ctx.Ctx.store.Store.index addr
 
 let run ?(cause = Obs.Gc_cause.Forced) ctx =
   (* Stop-the-world collection over a half-evacuated heap would treat
@@ -24,7 +9,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   Ctx.enter_collection ctx;
   let store = ctx.Ctx.store in
   let muts = ctx.Ctx.muts in
-  let lead = leader ctx in
+  let lead = Forward.min_clock_vproc ctx in
   (* Each vproc's Global span starts at its own arrival, not at the
      earliest clock: time before it stopped was its own mutator work. *)
   let arrivals = Array.map (fun (m : Ctx.mutator) -> m.Ctx.now_ns) muts in
@@ -32,8 +17,8 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
      global, and one ring's worth of markers is enough to segment every
      vproc's events by time. *)
   let phase p =
-    Obs.Recorder.record ctx.Ctx.obs ~vproc:lead
-      ~t_ns:muts.(lead).Ctx.now_ns (Obs.Event.Global_phase { phase = p })
+    Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:lead.Ctx.now_ns
+      (Obs.Event.Global_phase { phase = p })
   in
   Array.iter
     (fun (m : Ctx.mutator) ->
@@ -53,132 +38,21 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   (* Barrier: nobody proceeds until the slowest vproc arrives.  The gap
      between a vproc's own arrival and the barrier opening is dead wait,
      recorded as its own pause kind. *)
-  let t_entry =
-    Array.fold_left (fun acc (m : Ctx.mutator) -> Float.max acc m.Ctx.now_ns) 0. muts
-  in
+  let t_entry = Forward.max_clock ctx in
   Array.iter (fun m -> Ctx.barrier_wait ctx m ~cause ~t_to:t_entry) muts;
   phase Obs.Event.Roots;
-  (* All in-use chunks become from-space (gathered per node for the
-     affinity statistics the claim loop relies on). *)
-  let from_space = Global_heap.take_all_in_use ctx.Ctx.global in
-  (* Copied bytes are tallied per copying vproc (the owner of the dest
-     that performed the evacuation): the telemetry below records each
-     vproc's true share, not an average that would erase skew and drop
-     the division remainder. *)
-  let copied_by = Array.make (Array.length muts) 0 in
-  (* Large objects are marked, not copied; their fields still need one
-     scan each, queued here. *)
-  let large_pending = Queue.create () in
-  let dests =
-    Array.map
-      (fun (m : Ctx.mutator) ->
-        Forward.global_dest ctx m ~on_copy:(fun dst bytes ->
-            if Global_heap.is_large ctx.Ctx.global dst then
-              Queue.add dst large_pending
-            else copied_by.(m.Ctx.id) <- copied_by.(m.Ctx.id) + bytes))
-      muts
-  in
-  (* Evacuate one value if it is a global (from-space) reference.  Local
-     references — into the scanning vproc's own heap — stay put. *)
-  let forward_global (m : Ctx.mutator) w =
-    let v = Value.of_word w in
-    if Value.is_ptr v && not (Local_heap.in_heap m.Ctx.lh (Value.to_ptr v))
-    then
-      let dst = Forward.evacuate ctx m ~dest:dests.(m.Ctx.id) (Value.to_ptr v) in
-      Some (Value.to_word (Value.of_ptr dst))
-    else None
-  in
-  let forward_field (m : Ctx.mutator) fa =
-    match forward_global m (Ctx.read_word ctx m fa) with
-    | Some w -> Ctx.write_word ctx m fa w
-    | None -> ()
-  in
-  let forward_cell (m : Ctx.mutator) c =
-    (match forward_global m (Value.to_word (Roots.get c)) with
-    | Some w -> Roots.set c (Value.of_word w)
-    | None -> ());
-    Ctx.charge_work ctx m ~cycles:2.
-  in
-  (* Scan one to-space object; proxies get their referent handled
-     specially (it may legitimately point into a local heap). *)
-  let scan_tospace_object (m : Ctx.mutator) addr =
-    let h = Ctx.read_word ctx m addr in
-    Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
-    let id = Header.id h in
-    if id = Header.proxy_id then begin
-      let r = Proxy.referent store addr in
-      if Value.is_ptr r then begin
-        match local_owner ctx (Value.to_ptr r) with
-        | Some _ -> () (* still local to its owner; the owner's GCs track it *)
-        | None -> forward_field m (Obj_repr.field_addr addr 0)
-      end
-    end
-    else
-      Obj_repr.iter_pointer_slots store addr (fun fa -> forward_field m fa);
-    (Header.length_words h + 1) * 8
-  in
-  (* Per-vproc root phase: roots, proxies (the proxy objects themselves
-     move), the young data's global targets, and — for the leader — the
-     runtime's global roots. *)
+  (* All in-use chunks become from-space; each vproc evacuates its roots
+     and its (now old-only) local heap's global targets, and the leader
+     the runtime's global roots. *)
+  let ts = Forward.condemn ctx in
+  let evs = Array.map (Forward.evacuator ctx ts) muts in
   Array.iter
-    (fun (m : Ctx.mutator) ->
-      Roots.iter m.Ctx.roots (fun c -> forward_cell m c);
-      Roots.iter m.Ctx.proxies (fun c -> forward_cell m c);
-      let lh = m.Ctx.lh in
-      Major_gc.walk_objects store ~lo:lh.Local_heap.base
-        ~hi:lh.Local_heap.old_top (fun addr ->
-          Obj_repr.iter_pointer_slots store addr (fun fa -> forward_field m fa));
-      if m.Ctx.id = lead then
-        Roots.iter ctx.Ctx.global_roots (fun c -> forward_cell m c))
-    muts;
+    (fun (ev : Forward.evacuator) ->
+      Forward.forward_roots ctx ev;
+      if ev.m.Ctx.id = lead.Ctx.id then Roots.iter ctx.Ctx.global_roots ev.cell)
+    evs;
   phase Obs.Event.Cheney;
-  (* Parallel Cheney phase over to-space chunks, claimed per node. *)
-  let pending c = c.Chunk.scan_ptr < c.Chunk.alloc_ptr in
-  let min_clock_vproc () =
-    let best = ref 0 in
-    Array.iteri
-      (fun i (m : Ctx.mutator) ->
-        if m.Ctx.now_ns < muts.(!best).Ctx.now_ns then best := i)
-      muts;
-    muts.(!best)
-  in
-  let pick_chunk (m : Ctx.mutator) =
-    let to_chunks = Global_heap.in_use ctx.Ctx.global in
-    let own_current =
-      match Global_heap.current ctx.Ctx.global ~vproc:m.Ctx.id with
-      | Some c when pending c -> Some c
-      | _ -> None
-    in
-    match own_current with
-    | Some c -> Some c
-    | None -> (
-        match
-          List.find_opt (fun c -> pending c && c.Chunk.home_node = m.Ctx.node) to_chunks
-        with
-        | Some c -> Some c
-        | None -> List.find_opt pending to_chunks)
-  in
-  let any_pending () =
-    (not (Queue.is_empty large_pending))
-    || List.exists pending (Global_heap.in_use ctx.Ctx.global)
-  in
-  while any_pending () do
-    let m = min_clock_vproc () in
-    match Queue.take_opt large_pending with
-    | Some addr -> ignore (scan_tospace_object m addr)
-    | None -> (
-        match pick_chunk m with
-        | None ->
-            (* This vproc has nothing to claim; bring it level with the
-               next clock so another vproc gets picked. *)
-            Ctx.charge_work ctx m ~cycles:100.
-        | Some c ->
-            let stop = c.Chunk.alloc_ptr in
-            while c.Chunk.scan_ptr < stop do
-              let sz = scan_tospace_object m c.Chunk.scan_ptr in
-              c.Chunk.scan_ptr <- c.Chunk.scan_ptr + sz
-            done)
-  done;
+  Forward.cheney ctx ts evs;
   phase Obs.Event.Retarget;
   (* Retarget local forwarding words: promotions and the entry majors
      left forwarding words in the local heaps that point into from-space,
@@ -204,51 +78,23 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   phase Obs.Event.Sweep;
   (* Return from-space chunks to the pool and resume: the program restarts
      once the last vproc finishes. *)
-  List.iter
-    (fun c ->
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:lead
-        ~t_ns:muts.(lead).Ctx.now_ns
-        (Obs.Event.Chunk_release { node = c.Chunk.home_node });
-      Chunk.release (Global_heap.pool ctx.Ctx.global) c)
-    from_space;
-  ignore (Global_heap.sweep_large ctx.Ctx.global);
+  Forward.release ctx ts ~lead;
   phase Obs.Event.Exit;
-  let t_exit =
-    Array.fold_left (fun acc (m : Ctx.mutator) -> Float.max acc m.Ctx.now_ns) 0. muts
-  in
+  let t_exit = Forward.max_clock ctx in
   Array.iter
     (fun (m : Ctx.mutator) ->
       Ctx.barrier_wait ctx m ~cause ~t_to:t_exit;
       Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
       m.Ctx.in_gc <- false)
     muts;
+  let copied_by = ts.Ctx.ts_copied_by in
   Array.iter
     (fun (m : Ctx.mutator) ->
       Ctx.coll_end ctx m Gc_trace.Global ~cause
         ~t_start:arrivals.(m.Ctx.id) ~t_end:m.Ctx.now_ns
         ~bytes:copied_by.(m.Ctx.id))
     muts;
-  Ctx.finish_global ctx ~copied_by
-
-(* Paranoid validation after every global collection (set
-   MANTICORE_PARANOID=1); used to localize heap corruption in tests. *)
-let paranoid =
-  match Sys.getenv_opt "MANTICORE_PARANOID" with
-  | Some ("1" | "true") -> true
-  | _ -> false
-
-let run ?cause ctx =
-  run ?cause ctx;
-  if paranoid then begin
-    match Ctx.check_invariants ctx with
-    | Ok _ -> ()
-    | Error errs ->
-        (* Post-mortem: the flight recorder's tail is the best record of
-           what the collectors were doing when the heap went bad. *)
-        prerr_string (Obs.Recorder.dump_tail ctx.Ctx.obs);
-        failwith
-          ("global GC paranoid check failed:\n" ^ String.concat "\n" errs)
-  end
+  Ctx.finish_global ctx ~collector:"global GC" ~copied_by
 
 (* The safe-point response depends on the configured collector: STW runs
    a full collection on the spot; concurrent starts a cycle and then

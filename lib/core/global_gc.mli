@@ -18,7 +18,14 @@
     Parallelism is simulated by charging each unit of claimed work to the
     claiming vproc's virtual clock and always handing the next unit to
     the vproc whose clock is smallest; the final barrier advances every
-    clock to the maximum. *)
+    clock to the maximum.
+
+    The copying itself — condemning, root forwarding, the chunk claim
+    and the Cheney fixpoint, the release — is {!Forward}'s to-space
+    core, the same code {!Concurrent_gc} runs in slices.  What is
+    stop-the-world only lives here: the entry minor+major, the entry and
+    exit barriers, the [Global_phase] markers, and the walk that
+    retargets local forwarding words before from-space is released. *)
 
 val run : ?cause:Obs.Gc_cause.t -> Ctx.t -> unit
 (** Requires every mutator to be stopped at a safe point (no fiber holds
@@ -33,8 +40,3 @@ val install_sync_hook : Ctx.t -> unit
     {!Params.Concurrent} the first safe point starts a cycle and each
     subsequent one advances it by a single bounded {!Concurrent_gc.step}
     slice.  The scheduler installs its own hook instead. *)
-
-val leader : Ctx.t -> int
-(** The vproc that would lead a collection right now (the one with the
-    smallest virtual clock is used as a deterministic stand-in for "the
-    vproc that noticed first"). *)

@@ -1,33 +1,5 @@
 open Heap
 
-(* Walk the objects of [lo, hi), calling [f addr] for each object header
-   (skipping objects that were promoted away and left forwarding words).
-   Object sizes are read uncharged; the GC charges the field traffic it
-   actually generates. *)
-let walk_objects store ~lo ~hi f =
-  let addr = ref lo in
-  while !addr < hi do
-    let h = Obj_repr.header store !addr in
-    if Header.is_forward h then begin
-      (* A promoted object: its body follows the forwarding word; size
-         comes from the (live) global copy.  During a global collection
-         that copy may itself already be forwarded into to-space —
-         follow the chain to a real header (every copy has the same
-         length). *)
-      let rec live a depth =
-        let h = Obj_repr.header store a in
-        if Header.is_forward h && depth < 8 then
-          live (Header.forward_addr h) (depth + 1)
-        else a
-      in
-      addr := !addr + Obj_repr.total_bytes store (live (Header.forward_addr h) 0)
-    end
-    else begin
-      f !addr;
-      addr := !addr + ((Header.length_words h + 1) * 8)
-    end
-  done
-
 let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   Ctx.enter_collection ctx;
   (* "A minor collection always immediately precedes this major
@@ -80,7 +52,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
         | None -> ());
         Ctx.write_word ctx m slot (Value.to_word (Value.of_ptr dst))
       end);
-  walk_objects store ~lo:young_lo ~hi:young_hi (fun addr ->
+  Forward.walk_objects store ~lo:young_lo ~hi:young_hi (fun addr ->
       Forward.scan_fields ctx m ~dest ~in_from addr);
   (* Transitive closure over the old data.  Objects already moving to
      the global heap evacuate *any* local target — young or even nursery
@@ -104,7 +76,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   if delta > 0 && ysize > 0 then begin
     (* Fix young-internal pointers (old targets were already forwarded in
        place during the scan above). *)
-    walk_objects store ~lo:young_lo ~hi:young_hi (fun addr ->
+    Forward.walk_objects store ~lo:young_lo ~hi:young_hi (fun addr ->
         Obj_repr.iter_pointer_slots store addr (fun fa ->
             let v = Value.of_word (Ctx.read_word ctx m fa) in
             if Value.is_ptr v && in_young (Value.to_ptr v) then

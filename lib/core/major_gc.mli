@@ -1,5 +1,3 @@
-open Heap
-
 (** The major collection of Figure 3.
 
     Copies the live *older* old data — everything below [young_base] —
@@ -17,9 +15,3 @@ val run : ?cause:Obs.Gc_cause.t -> Ctx.t -> Ctx.mutator -> unit
 (** [cause] (default [Forced]) attributes this collection — and its
     prerequisite minor, if one runs — in the trace, metrics, and flight
     recorder. *)
-
-val walk_objects : Store.t -> lo:int -> hi:int -> (int -> unit) -> unit
-(** Walk the object headers of a contiguous allocated region, skipping
-    objects that promotion replaced with forwarding words (their size is
-    read from the live global copy).  Uncharged; shared with the global
-    collector and the tests. *)

@@ -119,5 +119,4 @@ let add_in_use t c = t.in_use <- c :: t.in_use
 let pool t = t.pool
 let chunk_bytes t = t.chunk_bytes
 let in_use_bytes t = Chunk.in_use_bytes t.pool + t.large_bytes
-let find_chunk t addr = Heap_index.find_chunk t.index addr
 let contains t addr = Heap_index.is_global t.index addr

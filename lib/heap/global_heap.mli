@@ -58,6 +58,3 @@ val contains : t -> int -> bool
     global collection (between [take_all_in_use] and the from-space
     release) from-space chunk pages still classify as global; they go
     [Free] the moment the collector releases them. *)
-
-val find_chunk : t -> int -> Chunk.t option
-(** O(1) page-index lookup of the chunk owning an address. *)

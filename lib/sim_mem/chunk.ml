@@ -21,8 +21,7 @@ let bump c bytes =
 
 let reset c =
   c.alloc_ptr <- c.base;
-  c.scan_ptr <- c.base;
-  c.from_space <- false
+  c.scan_ptr <- c.base
 
 type pool = {
   pa : Page_alloc.t;
@@ -109,6 +108,7 @@ let acquire ?(affinity = true) pool ~policy ~requester_node =
   (c, provenance)
 
 let release pool c =
+  c.from_space <- false;
   pool.on_release c;
   pool.free.(c.home_node) := c :: !(pool.free.(c.home_node));
   pool.in_use <- pool.in_use - 1
@@ -119,3 +119,5 @@ let in_use_count pool = pool.in_use
 
 let free_count pool =
   Array.fold_left (fun acc l -> acc + List.length !l) 0 pool.free
+
+let iter_free pool f = Array.iter (fun l -> List.iter f !l) pool.free

@@ -15,10 +15,10 @@ type t = {
   mutable alloc_ptr : int;  (** next free byte; [base <= alloc_ptr <= base+bytes] *)
   mutable scan_ptr : int;  (** Cheney scan pointer used during global GC *)
   mutable from_space : bool;
-      (** Set by the concurrent global collector when the chunk is claimed
-          as from-space (condemned); cleared on {!reset} and when the
-          collection finishes.  Always [false] outside a concurrent
-          collection cycle. *)
+      (** Set by a global collection (STW or concurrent) when it condemns
+          the chunk as from-space; cleared by {!release}, which is how
+          every condemned chunk leaves the collection.  Always [false]
+          outside a global collection. *)
 }
 
 val free_bytes : t -> int
@@ -59,7 +59,7 @@ val acquire :
 
 val release : pool -> t -> unit
 (** Return a chunk to the free pool (its storage stays mapped, preserving
-    node affinity for reuse). *)
+    node affinity for reuse) and clear its [from_space] flag. *)
 
 val chunk_bytes : pool -> int
 val in_use_bytes : pool -> int
@@ -67,3 +67,6 @@ val in_use_bytes : pool -> int
 
 val in_use_count : pool -> int
 val free_count : pool -> int
+
+val iter_free : pool -> (t -> unit) -> unit
+(** Every chunk in the free pool (checkers). *)

@@ -468,15 +468,17 @@ let test_parallel_slices_distinct_chunks () =
     ignore (Concurrent_gc.step ctx)
   done;
   (* One turn: the lead slice plus one assist on the other (idle) vproc. *)
-  let before = Array.copy st.Ctx.cg_copied_by in
+  let copied = st.Ctx.cg_space.Ctx.ts_copied_by in
+  let before = Array.copy copied in
   ignore (Concurrent_gc.step_turn ctx ~idle:(fun _ -> true));
   Alcotest.(check bool) "vproc 0 copied bytes this turn" true
-    (st.Ctx.cg_copied_by.(0) > before.(0));
+    (copied.(0) > before.(0));
   Alcotest.(check bool) "vproc 1 copied bytes this turn" true
-    (st.Ctx.cg_copied_by.(1) > before.(1));
+    (copied.(1) > before.(1));
   let claims =
-    Hashtbl.fold (fun chunk owner acc -> (chunk, owner) :: acc) st.Ctx.cg_claims
-      []
+    Hashtbl.fold
+      (fun chunk owner acc -> (chunk, owner) :: acc)
+      st.Ctx.cg_space.Ctx.ts_claims []
   in
   let chunks_of v =
     List.filter_map (fun (c, o) -> if o = v then Some c else None) claims

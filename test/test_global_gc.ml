@@ -167,6 +167,36 @@ let test_global_copied_byte_accounting () =
   Alcotest.(check (float 0.)) "metrics record the same bytes"
     (float_of_int expected) metrics_sum
 
+(* Both collectors flag the chunks they condemn as from-space; the flag
+   must not outlive the collection, neither on to-space chunks nor on
+   released ones waiting in the pool for reuse. *)
+let test_from_space_flags_cleared () =
+  List.iter
+    (fun (name, collect) ->
+      let ctx = Gc_util.mk_ctx () in
+      let m = Ctx.mutator ctx 0 in
+      let live = Promote.value ctx m (Gc_util.build_list ctx m [ 1; 2 ]) in
+      let keep = Roots.add m.Ctx.roots live in
+      for i = 0 to 50 do
+        ignore (Promote.value ctx m (Gc_util.build_list ctx m [ i; i; i ]))
+      done;
+      collect ctx;
+      let pool = Global_heap.pool ctx.Ctx.global in
+      Alcotest.(check bool) (name ^ ": chunks were released") true
+        (Sim_mem.Chunk.free_count pool > 0);
+      let flagged = ref 0 in
+      let count c = if c.Sim_mem.Chunk.from_space then incr flagged in
+      List.iter count (Global_heap.in_use ctx.Ctx.global);
+      Sim_mem.Chunk.iter_free pool count;
+      Alcotest.(check int) (name ^ ": no chunk left flagged from-space") 0
+        !flagged;
+      Alcotest.(check (list int)) (name ^ ": live data intact") [ 1; 2 ]
+        (Gc_util.read_list ctx m (Roots.get keep)))
+    [
+      ("stw", fun ctx -> Global_gc.run ctx);
+      ("concurrent", fun ctx -> Concurrent_gc.run ctx);
+    ]
+
 let prop_global_gc_random_graphs =
   QCheck.Test.make ~name:"global GC preserves random graphs" ~count:30
     QCheck.(pair (int_range 0 6) (int_range 1 1000))
@@ -200,5 +230,7 @@ let suite =
         test_global_node_affinity_of_chunks;
       Alcotest.test_case "copied-byte accounting is exact per vproc" `Quick
         test_global_copied_byte_accounting;
+      Alcotest.test_case "from-space flags cleared after collection" `Quick
+        test_from_space_flags_cleared;
       QCheck_alcotest.to_alcotest prop_global_gc_random_graphs;
     ] )

@@ -62,6 +62,31 @@ let test_ctx () =
   check_words "Ctx.charge_work" clock_store (fun () ->
       Ctx.charge_work ctx m ~cycles:3.)
 
+(* The concurrent collector's read-taint classifies every mutator load
+   while a cycle is active; the page-table classifier it uses must add
+   no host words to the load. *)
+let test_ctx_during_cycle () =
+  let ctx = Gc_util.mk_ctx () in
+  let m = Ctx.mutator ctx 0 in
+  let g =
+    Promote.value ctx m
+      (Alloc.alloc_vector ctx m [| Value.of_int 7; Value.of_int 8 |])
+  in
+  let cell = Roots.add m.Ctx.roots g in
+  let p = Value.to_ptr g in
+  let read () = ignore (Ctx.read_word ctx m p) in
+  let field () = ignore (Ctx.get_field ctx m p 0) in
+  let idle_read = words_per_call read and idle_field = words_per_call field in
+  Concurrent_gc.start ctx;
+  Alcotest.(check bool) "the word is condemned" true
+    (Ctx.from_space ctx ~large:false p);
+  check_words "Ctx.read_word (condemned, cycle active)" (idle_read +. none)
+    read;
+  check_words "Ctx.get_field (condemned, cycle active)" (idle_field +. none)
+    field;
+  Concurrent_gc.finish ctx;
+  Roots.remove m.Ctx.roots cell
+
 let suite =
   ( "host-alloc",
     [
@@ -70,4 +95,6 @@ let suite =
         test_cost_model;
       Alcotest.test_case "charged reads allocate only the clock store" `Quick
         test_ctx;
+      Alcotest.test_case "concurrent read-taint allocates nothing" `Quick
+        test_ctx_during_cycle;
     ] )
