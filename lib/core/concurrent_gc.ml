@@ -224,19 +224,19 @@ let walk_forward_words ctx (m : Ctx.mutator) f =
   let region lo hi =
     let addr = ref lo in
     while !addr < hi do
-      let h = Ctx.read_word ctx m !addr in
-      if Header.is_forward h then begin
-        f !addr (Header.forward_addr h);
+      let h = Ctx.read_int ctx m !addr in
+      if Header.Int.is_forward h then begin
+        f !addr (Header.Int.forward_addr h);
         (* Skip by the final copy's size: promotion leaves the body in
            place, so source and target footprints are identical. *)
-        let th = Ctx.read_word ctx m (Header.forward_addr h) in
+        let th = Ctx.read_int ctx m (Header.Int.forward_addr h) in
         let final =
-          if Header.is_forward th then Header.forward_addr th
-          else Header.forward_addr h
+          if Header.Int.is_forward th then Header.Int.forward_addr th
+          else Header.Int.forward_addr h
         in
         addr := !addr + Obj_repr.total_bytes store final
       end
-      else addr := !addr + ((Header.length_words h + 1) * 8)
+      else addr := !addr + ((Header.Int.length_words h + 1) * 8)
     done
   in
   region lh.Local_heap.base lh.Local_heap.old_top;
@@ -253,11 +253,12 @@ let keep_pass ctx (ev : Forward.evacuator) =
   let m = ev.Forward.m in
   walk_forward_words ctx m (fun src target ->
       if Ctx.from_space ctx ~large:false target then begin
-        (if not (Header.is_forward (Ctx.read_word ctx m target)) then
+        (if not (Header.Int.is_forward (Ctx.read_int ctx m target)) then
            ignore (Forward.evacuate ctx m ~dest:ev.Forward.dest target));
-        let th = Ctx.read_word ctx m target in
-        if Header.is_forward th then
-          Ctx.write_word ctx m src (Header.forward (Header.forward_addr th))
+        let th = Ctx.read_int ctx m target in
+        if Header.Int.is_forward th then
+          Ctx.write_int ctx m src
+            (Header.Int.forward (Header.Int.forward_addr th))
       end)
 
 let keep_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =

@@ -362,12 +362,17 @@ let write_word t m addr w =
   charge_access t m addr 8;
   Memory.set t.store.Store.mem addr w
 
+(* [write_word] for a tagged word, without boxing it as an [int64]. *)
+let write_int t m addr v =
+  charge_access t m addr 8;
+  Memory.set_int t.store.Store.mem addr v
+
 let touch t m ~addr ~bytes = charge_access t m addr bytes
 let bulk_touch t m ~addr ~bytes = charge_bulk t m addr bytes
 
 let get_raw t m addr i = read_word t m (Obj_repr.field_addr addr i)
 let get_float t m addr i = Int64.float_of_bits (get_raw t m addr i)
-let header_of t m addr = read_word t m addr
+let header_of t m addr = read_int t m addr
 
 (* Follow forwarding words from the object at [addr] to its current
    copy. *)

@@ -249,7 +249,17 @@ val conc_taint : t -> mutator -> Value.t -> unit
     concurrent cycle is active, [m] is outside collector context, and
     the value is a from-space pointer. *)
 
+val read_int : t -> mutator -> int -> int
+(** {!read_word} of a tagged word (a value, header or forwarding
+    address) as an int, without boxing an [int64]; raises as
+    {!Sim_mem.Memory.get_int} does. *)
+
 val write_word : t -> mutator -> int -> int64 -> unit
+
+val write_int : t -> mutator -> int -> int -> unit
+(** {!write_word} of a tagged word given as an int, without boxing an
+    [int64]. *)
+
 val touch : t -> mutator -> addr:int -> bytes:int -> unit
 (** Charge an access without transferring data through the API (e.g. the
     mutator "using" a raw payload). *)
@@ -269,8 +279,9 @@ val get_field : t -> mutator -> int -> int -> Value.t
 val get_raw : t -> mutator -> int -> int -> int64
 val get_float : t -> mutator -> int -> int -> float
 
-val header_of : t -> mutator -> int -> int64
-(** Charged header read (follows no forwarding). *)
+val header_of : t -> mutator -> int -> int
+(** Charged header read as an int (follows no forwarding); decode it with
+    {!Heap.Header.Int}. *)
 
 val resolve : t -> mutator -> Value.t -> Value.t
 (** Follow a forwarding word if the referenced object was promoted out

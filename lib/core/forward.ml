@@ -19,60 +19,65 @@ let local_dest ctx m ~bump ~limit ~on_copy =
     on_copy;
   }
 
+(* [global_dest]'s slow path: the current chunk is full, or the object
+   needs a large-object region.  Either is a synchronization the vproc
+   pays for, and may push the heap over its collection budget. *)
+let global_alloc_slow ctx m bytes =
+  let addr, how =
+    Global_heap.alloc ctx.Ctx.global ~vproc:m.Ctx.id ~node:m.Ctx.node ~bytes
+  in
+  (match how with
+  | `Same_chunk -> ()
+  | `Large ->
+      (* A dedicated page run: registering it is a global
+         synchronization, like a fresh chunk.  Born during a concurrent
+         cycle it is born marked ("allocate black"): the ratify sweep
+         frees unmarked larges, and a fresh one may be referenced only
+         OCaml-side (a register or root added after the owner's
+         handshake), where no read-taint or rescan would ever reach it.
+         Birth-marking consumes the first-mark that triggers the field
+         scan in [evacuate], so the caller must get the pointer fields
+         forwarded itself (see [Alloc.alloc_global]). *)
+      (if ctx.Ctx.conc <> None then
+         ignore (Global_heap.mark_large ctx.Ctx.global addr));
+      Ctx.charge_work ctx m
+        ~cycles:ctx.Ctx.params.Params.chunk_global_sync_cycles;
+      if
+        (not ctx.Ctx.global_gc_pending)
+        && Global_heap.in_use_bytes ctx.Ctx.global
+           > ctx.Ctx.global_budget_bytes
+      then Ctx.request_global_gc ctx
+  | `New_chunk (c, provenance) ->
+      Metrics.record_chunk_acquire ctx.Ctx.metrics ~vproc:m.Ctx.id;
+      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
+        (Obs.Event.Chunk_acquire
+           {
+             node = c.Sim_mem.Chunk.home_node;
+             fresh = (provenance = `Fresh);
+           });
+      let cycles =
+        match provenance with
+        | `Reused -> ctx.Ctx.params.Params.chunk_local_sync_cycles
+        | `Fresh -> ctx.Ctx.params.Params.chunk_global_sync_cycles
+      in
+      Ctx.charge_work ctx m ~cycles;
+      if
+        (not ctx.Ctx.global_gc_pending)
+        && Global_heap.in_use_bytes ctx.Ctx.global
+           > ctx.Ctx.global_budget_bytes
+      then Ctx.request_global_gc ctx);
+  addr
+
 let global_dest ctx m ~on_copy =
   {
     alloc_dst =
       (fun bytes ->
-        let addr, how =
-          Global_heap.alloc ctx.Ctx.global ~vproc:m.Ctx.id ~node:m.Ctx.node
-            ~bytes
+        let addr =
+          Global_heap.alloc_in_current ctx.Ctx.global ~vproc:m.Ctx.id ~bytes
         in
-        (match how with
-        | `Same_chunk -> ()
-        | `Large ->
-            (* A dedicated page run: registering it is a global
-               synchronization, like a fresh chunk.  Born during a
-               concurrent cycle it is born marked ("allocate black"):
-               the ratify sweep frees unmarked larges, and a fresh one
-               may be referenced only OCaml-side (a register or root
-               added after the owner's handshake), where no read-taint
-               or rescan would ever reach it.  Birth-marking consumes
-               the first-mark that triggers the field scan in
-               [evacuate], so the caller must get the pointer fields
-               forwarded itself (see [Alloc.alloc_global]). *)
-            (if ctx.Ctx.conc <> None then
-               ignore (Global_heap.mark_large ctx.Ctx.global addr));
-            Ctx.charge_work ctx m
-              ~cycles:ctx.Ctx.params.Params.chunk_global_sync_cycles;
-            if
-              (not ctx.Ctx.global_gc_pending)
-              && Global_heap.in_use_bytes ctx.Ctx.global
-                 > ctx.Ctx.global_budget_bytes
-            then Ctx.request_global_gc ctx
-        | `New_chunk (c, provenance) ->
-            Metrics.record_chunk_acquire ctx.Ctx.metrics ~vproc:m.Ctx.id;
-            Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-              (Obs.Event.Chunk_acquire
-                 {
-                   node = c.Sim_mem.Chunk.home_node;
-                   fresh = (provenance = `Fresh);
-                 });
-            let cycles =
-              match provenance with
-              | `Reused -> ctx.Ctx.params.Params.chunk_local_sync_cycles
-              | `Fresh -> ctx.Ctx.params.Params.chunk_global_sync_cycles
-            in
-            Ctx.charge_work ctx m ~cycles;
-            if
-              (not ctx.Ctx.global_gc_pending)
-              && Global_heap.in_use_bytes ctx.Ctx.global
-                 > ctx.Ctx.global_budget_bytes
-            then Ctx.request_global_gc ctx);
-        addr);
+        if addr >= 0 then addr else global_alloc_slow ctx m bytes);
     on_copy;
   }
-
-let trace = Sys.getenv_opt "MANTICORE_TRACE_EVAC" <> None
 
 (* Fault-injection hook for the model-differential fuzzer: when set to
    [n > 0], every [n]th evacuation copies only the header and leaves the
@@ -99,43 +104,41 @@ let copy_for_evacuation store ~src ~dst =
   else ignore (Obj_repr.copy_object store ~src ~dst)
 
 let evacuate ctx m ~dest src =
-  let h = Ctx.read_word ctx m src in
-  if Header.is_forward h then Header.forward_addr h
-  else if Global_heap.is_large ctx.Ctx.global src then begin
-    (* Large objects are not copied: mark them live; the first marking
-       reports the object so the caller scans its fields exactly once. *)
-    if Global_heap.mark_large ctx.Ctx.global src then
-      dest.on_copy src ((Header.length_words h + 1) * 8);
-    src
-  end
-  else begin
-    if trace then
-      Printf.eprintf "evac v%d src=%#x hdr=%#Lx\n%!" m.Ctx.id src h;
+  let h = Ctx.read_int ctx m src in
+  if Header.Int.is_forward h then Header.Int.forward_addr h
+  else
     let store = ctx.Ctx.store in
-    let bytes = (Header.length_words h + 1) * 8 in
-    let dst = dest.alloc_dst bytes in
-    if Obs.Recorder.enabled ctx.Ctx.obs then
-      Obs.Recorder.record_copy ctx.Ctx.obs
-        ~src_node:(Sim_mem.Memory.node_of_addr store.Store.mem src)
-        ~dst_node:(Sim_mem.Memory.node_of_addr store.Store.mem dst)
-        ~bytes;
-    Ctx.bulk_touch ctx m ~addr:src ~bytes;
-    Ctx.bulk_touch ctx m ~addr:dst ~bytes;
-    copy_for_evacuation store ~src ~dst;
-    Sim_mem.Memory.set store.Store.mem src (Header.forward dst);
-    Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
-    dest.on_copy dst bytes;
-    dst
-  end
+    match Heap_index.region store.Store.index src with
+    | Heap_index.Large l ->
+        (* Large objects are not copied: mark them live; the first
+           marking reports the object so the caller scans its fields
+           exactly once. *)
+        if Global_heap.mark l then
+          dest.on_copy src ((Header.Int.length_words h + 1) * 8);
+        src
+    | Heap_index.Free | Heap_index.Local _ | Heap_index.Global_chunk _ ->
+        let bytes = (Header.Int.length_words h + 1) * 8 in
+        let dst = dest.alloc_dst bytes in
+        if Obs.Recorder.enabled ctx.Ctx.obs then
+          Obs.Recorder.record_copy ctx.Ctx.obs
+            ~src_node:(Sim_mem.Memory.node_of_addr store.Store.mem src)
+            ~dst_node:(Sim_mem.Memory.node_of_addr store.Store.mem dst)
+            ~bytes;
+        Ctx.bulk_touch ctx m ~addr:src ~bytes;
+        Ctx.bulk_touch ctx m ~addr:dst ~bytes;
+        copy_for_evacuation store ~src ~dst;
+        Sim_mem.Memory.set_int store.Store.mem src (Header.Int.forward dst);
+        Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
+        dest.on_copy dst bytes;
+        dst
 
 let forward_field ctx m ~dest ~in_from field_addr =
-  let w = Ctx.read_word ctx m field_addr in
-  let v = Value.of_word w in
+  let v = Value.of_int_word (Ctx.read_int ctx m field_addr) in
   if Value.is_ptr v then begin
     let target = Value.to_ptr v in
     if in_from target then begin
       let dst = evacuate ctx m ~dest target in
-      Ctx.write_word ctx m field_addr (Value.to_word (Value.of_ptr dst))
+      Ctx.write_int ctx m field_addr (Value.to_int_word (Value.of_ptr dst))
     end
   end
 
@@ -150,35 +153,39 @@ let forward_cell ctx m ~dest ~in_from cell =
   end;
   Ctx.charge_work ctx m ~cycles:2.
 
-let scan_fields ctx m ~dest ~in_from addr =
-  Obj_repr.iter_pointer_slots ctx.Ctx.store addr (fun field_addr ->
-      forward_field ctx m ~dest ~in_from field_addr)
+let scan_fields ctx m ~dest ~in_from =
+  let field = forward_field ctx m ~dest ~in_from in
+  fun addr -> Obj_repr.iter_pointer_slots ctx.Ctx.store addr field
+
+(* The end of a forwarding chain from [a], followed at most 8 hops. *)
+let rec live_copy mem a depth =
+  let h = Sim_mem.Memory.get_int mem a in
+  if Header.Int.is_forward h && depth < 8 then
+    live_copy mem (Header.Int.forward_addr h) (depth + 1)
+  else a
 
 (* Walk the objects of [lo, hi), calling [f addr] for each object header
    (skipping objects that were promoted away and left forwarding words).
    Object sizes are read uncharged; the GC charges the field traffic it
    actually generates. *)
 let walk_objects store ~lo ~hi f =
+  let mem = store.Store.mem in
   let addr = ref lo in
   while !addr < hi do
-    let h = Obj_repr.header store !addr in
-    if Header.is_forward h then begin
+    let h = Sim_mem.Memory.get_int mem !addr in
+    if Header.Int.is_forward h then
       (* A promoted object: its body follows the forwarding word; size
          comes from the (live) global copy.  During a global collection
          that copy may itself already be forwarded into to-space —
          follow the chain to a real header (every copy has the same
          length). *)
-      let rec live a depth =
-        let h = Obj_repr.header store a in
-        if Header.is_forward h && depth < 8 then
-          live (Header.forward_addr h) (depth + 1)
-        else a
-      in
-      addr := !addr + Obj_repr.total_bytes store (live (Header.forward_addr h) 0)
-    end
+      addr :=
+        !addr
+        + Obj_repr.total_bytes store
+            (live_copy mem (Header.Int.forward_addr h) 0)
     else begin
       f !addr;
-      addr := !addr + ((Header.length_words h + 1) * 8)
+      addr := !addr + ((Header.Int.length_words h + 1) * 8)
     end
   done
 
@@ -254,9 +261,9 @@ let forward_roots ctx ev =
    and is left to the owner's local collections. *)
 let scan_tospace_object ctx ev addr =
   let store = ctx.Ctx.store in
-  let h = Ctx.read_word ctx ev.m addr in
+  let h = Ctx.read_int ctx ev.m addr in
   Ctx.charge_work ctx ev.m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
-  (if Header.id h = Header.proxy_id then begin
+  (if Header.Int.id h = Header.proxy_id then begin
      let r = Proxy.referent store addr in
      if Value.is_ptr r then
        match Heap_index.region store.Store.index (Value.to_ptr r) with
@@ -264,7 +271,7 @@ let scan_tospace_object ctx ev addr =
        | _ -> ev.field (Obj_repr.field_addr addr 0)
    end
    else Obj_repr.iter_pointer_slots store addr ev.field);
-  (Header.length_words h + 1) * 8
+  (Header.Int.length_words h + 1) * 8
 
 (* Promotions during a concurrent cycle reopen chunks, which is exactly
    what keeps mid-cycle-promoted data reachable. *)

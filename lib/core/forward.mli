@@ -51,9 +51,12 @@ val forward_cell : Ctx.t -> Ctx.mutator -> dest:dest -> in_from:(int -> bool) ->
 (** Same for an OCaml-side root cell (no memory charge for the cell
     itself, a small fixed work charge instead). *)
 
-val scan_fields : Ctx.t -> Ctx.mutator -> dest:dest -> in_from:(int -> bool) -> int -> unit
-(** Forward every candidate pointer field of the object at the given
-    address (charged reads/writes). *)
+val scan_fields :
+  Ctx.t -> Ctx.mutator -> dest:dest -> in_from:(int -> bool) -> int -> unit
+(** [scan_fields ctx m ~dest ~in_from] is a scanner that forwards every
+    candidate pointer field of the object at the address it is given
+    (charged reads/writes).  Build it once per collection: applied, it
+    allocates no closure per object. *)
 
 val set_test_corrupt_copy : int -> unit
 (** Fault injection for the model-differential fuzzer: [n > 0] makes

@@ -63,16 +63,19 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
       let lh = m.Ctx.lh in
       let addr = ref lh.Local_heap.base in
       while !addr < lh.Local_heap.old_top do
-        let h = Ctx.read_word ctx m !addr in
-        if Header.is_forward h then begin
-          let target = Header.forward_addr h in
-          let th = Ctx.read_word ctx m target in
-          let final = if Header.is_forward th then Header.forward_addr th else target in
+        let h = Ctx.read_int ctx m !addr in
+        if Header.Int.is_forward h then begin
+          let target = Header.Int.forward_addr h in
+          let th = Ctx.read_int ctx m target in
+          let final =
+            if Header.Int.is_forward th then Header.Int.forward_addr th
+            else target
+          in
           if final <> target then
-            Ctx.write_word ctx m !addr (Header.forward final);
+            Ctx.write_int ctx m !addr (Header.Int.forward final);
           addr := !addr + Obj_repr.total_bytes store final
         end
-        else addr := !addr + ((Header.length_words h + 1) * 8)
+        else addr := !addr + ((Header.Int.length_words h + 1) * 8)
       done)
     muts;
   phase Obs.Event.Sweep;

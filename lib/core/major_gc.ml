@@ -50,10 +50,10 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
         (match ctx.Ctx.conc with
         | Some st -> Remember.add st.Ctx.cg_log ~slot
         | None -> ());
-        Ctx.write_word ctx m slot (Value.to_word (Value.of_ptr dst))
+        Ctx.write_int ctx m slot (Value.to_int_word (Value.of_ptr dst))
       end);
-  Forward.walk_objects store ~lo:young_lo ~hi:young_hi (fun addr ->
-      Forward.scan_fields ctx m ~dest ~in_from addr);
+  Forward.walk_objects store ~lo:young_lo ~hi:young_hi
+    (Forward.scan_fields ctx m ~dest ~in_from);
   (* Transitive closure over the old data.  Objects already moving to
      the global heap evacuate *any* local target — young or even nursery
      data: with the mutation extension an old object can point at newer
@@ -61,8 +61,9 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
      mutation-free programs the broader test changes nothing, because
      old data never points at newer data. *)
   let in_local a = Local_heap.in_heap lh a in
+  let scan_fields = Forward.scan_fields ctx m ~dest ~in_from:in_local in
   while not (Queue.is_empty pending) do
-    Forward.scan_fields ctx m ~dest ~in_from:in_local (Queue.pop pending)
+    scan_fields (Queue.pop pending)
   done;
   (* Slide the young data down to the bottom of the heap (the "Move" of
      Figure 3).  Pointers into the young range shift by [delta]; pointers
@@ -70,18 +71,22 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   let delta = young_lo - from_lo in
   let ysize = young_hi - young_lo in
   let resolve_young target =
-    let h = Obj_repr.header store target in
-    if Header.is_forward h then Header.forward_addr h else target - delta
+    let h = Sim_mem.Memory.get_int store.Store.mem target in
+    if Header.Int.is_forward h then Header.Int.forward_addr h
+    else target - delta
   in
   if delta > 0 && ysize > 0 then begin
     (* Fix young-internal pointers (old targets were already forwarded in
        place during the scan above). *)
+    let fix_slot fa =
+      let v = Value.of_int_word (Ctx.read_int ctx m fa) in
+      if Value.is_ptr v && in_young (Value.to_ptr v) then
+        Ctx.write_int ctx m fa
+          (Value.to_int_word
+             (Value.of_ptr (resolve_young (Value.to_ptr v))))
+    in
     Forward.walk_objects store ~lo:young_lo ~hi:young_hi (fun addr ->
-        Obj_repr.iter_pointer_slots store addr (fun fa ->
-            let v = Value.of_word (Ctx.read_word ctx m fa) in
-            if Value.is_ptr v && in_young (Value.to_ptr v) then
-              Ctx.write_word ctx m fa
-                (Value.to_word (Value.of_ptr (resolve_young (Value.to_ptr v))))));
+        Obj_repr.iter_pointer_slots store addr fix_slot);
     (* Fix roots and proxy referents pointing into the young range. *)
     let fix_cell c =
       let v = Roots.get c in
@@ -99,17 +104,15 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
           (match ctx.Ctx.conc with
           | Some st -> Remember.add st.Ctx.cg_log ~slot
           | None -> ());
-          Ctx.write_word ctx m slot
-            (Value.to_word (Value.of_ptr (resolve_young (Value.to_ptr r))))
+          Ctx.write_int ctx m slot
+            (Value.to_int_word
+               (Value.of_ptr (resolve_young (Value.to_ptr r))))
         end);
     (* Move the block. *)
     Ctx.bulk_touch ctx m ~addr:young_lo ~bytes:ysize;
     Ctx.bulk_touch ctx m ~addr:from_lo ~bytes:ysize;
-    for i = 0 to (ysize / 8) - 1 do
-      Sim_mem.Memory.set store.Store.mem
-        (from_lo + (i * 8))
-        (Sim_mem.Memory.get store.Store.mem (young_lo + (i * 8)))
-    done
+    Sim_mem.Memory.copy store.Store.mem ~src:young_lo ~dst:from_lo
+      ~bytes:ysize
   end;
   lh.Local_heap.young_base <- from_lo;
   lh.Local_heap.old_top <- from_lo + ysize;

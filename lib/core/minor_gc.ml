@@ -41,13 +41,14 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
         (match ctx.Ctx.conc with
         | Some st -> Remember.add st.Ctx.cg_log ~slot
         | None -> ());
-        Ctx.write_word ctx m slot (Value.to_word (Value.of_ptr dst))
+        Ctx.write_int ctx m slot (Value.to_int_word (Value.of_ptr dst))
       end);
   (* Cheney scan of the newly-copied region. *)
+  let scan_fields = Forward.scan_fields ctx m ~dest ~in_from in
   let scan = ref dst_start in
   while !scan < !bump do
     let addr = !scan in
-    Forward.scan_fields ctx m ~dest ~in_from addr;
+    scan_fields addr;
     scan := addr + Obj_repr.total_bytes ctx.Ctx.store addr
   done;
   (* New layout: the copies are the young data; re-split the free space. *)

@@ -29,8 +29,9 @@ let value ?(reason = Obs.Gc_cause.Explicit) ctx (m : Ctx.mutator) v =
           Queue.add dst pending)
     in
     let dst = Forward.evacuate ctx m ~dest (Value.to_ptr v) in
+    let scan_fields = Forward.scan_fields ctx m ~dest ~in_from in
     while not (Queue.is_empty pending) do
-      Forward.scan_fields ctx m ~dest ~in_from (Queue.pop pending)
+      scan_fields (Queue.pop pending)
     done;
     Ctx.coll_end ctx m Gc_trace.Promotion ~cause ~t_start ~t_end:m.Ctx.now_ns
       ~bytes:!promoted;
@@ -112,8 +113,9 @@ let batch_add b v =
     end;
     let in_from a = Local_heap.in_heap m.Ctx.lh a in
     let dst = Forward.evacuate ctx m ~dest:b.b_dest (Value.to_ptr v) in
+    let scan_fields = Forward.scan_fields ctx m ~dest:b.b_dest ~in_from in
     while not (Queue.is_empty b.b_pending) do
-      Forward.scan_fields ctx m ~dest:b.b_dest ~in_from (Queue.pop b.b_pending)
+      scan_fields (Queue.pop b.b_pending)
     done;
     b.b_values <- b.b_values + 1;
     m.Ctx.in_gc <- was_in_gc;

@@ -67,16 +67,22 @@ let alloc_large t ~node ~bytes =
   Heap_index.set_large t.index l;
   region
 
-let find_large t addr = Heap_index.find_large t.index addr
+let mark l =
+  if l.l_marked then false
+  else begin
+    l.l_marked <- true;
+    true
+  end
 
-let is_large t addr = Option.is_some (find_large t addr)
+let is_large t addr =
+  match Heap_index.region t.index addr with
+  | Heap_index.Large _ -> true
+  | Heap_index.Free | Heap_index.Local _ | Heap_index.Global_chunk _ -> false
 
 let mark_large t addr =
-  match find_large t addr with
-  | Some l when not l.l_marked ->
-      l.l_marked <- true;
-      true
-  | _ -> false
+  match Heap_index.region t.index addr with
+  | Heap_index.Large l -> mark l
+  | Heap_index.Free | Heap_index.Local _ | Heap_index.Global_chunk _ -> false
 
 let sweep_large t =
   let live, dead = List.partition (fun l -> l.l_marked) t.large in
@@ -92,17 +98,21 @@ let sweep_large t =
 
 let large_list t = List.map (fun l -> (l.l_addr, l.l_bytes)) t.large
 
+let alloc_in_current t ~vproc ~bytes =
+  let bytes = Addr.round_up_words bytes in
+  match t.current.(vproc) with
+  | Some c when Chunk.free_bytes c >= bytes -> Chunk.bump c bytes
+  | Some _ | None -> -1
+
 let alloc t ~vproc ~node ~bytes =
   let bytes = Addr.round_up_words bytes in
   if bytes > t.chunk_bytes then (alloc_large t ~node ~bytes, `Large)
-  else begin
-    match t.current.(vproc) with
-    | Some c when Chunk.free_bytes c >= bytes ->
-        (Chunk.bump c bytes, `Same_chunk)
-    | _ ->
-        let c, provenance = acquire_for t ~vproc ~node in
-        (Chunk.bump c bytes, `New_chunk (c, provenance))
-  end
+  else
+    let addr = alloc_in_current t ~vproc ~bytes in
+    if addr >= 0 then (addr, `Same_chunk)
+    else
+      let c, provenance = acquire_for t ~vproc ~node in
+      (Chunk.bump c bytes, `New_chunk (c, provenance))
 
 let current t ~vproc = t.current.(vproc)
 let drop_current t ~vproc = t.current.(vproc) <- None

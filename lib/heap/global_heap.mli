@@ -21,6 +21,12 @@ val alloc : t -> vproc:int -> node:int -> bytes:int ->
     large-object space: a dedicated page run, managed mark-and-sweep by
     the global collector instead of being copied. *)
 
+val alloc_in_current : t -> vproc:int -> bytes:int -> int
+(** {!alloc}'s common case alone: bump [bytes] (word-rounded) in
+    [vproc]'s current chunk and return the address, or [-1] when there
+    is no current chunk or it lacks room (an object larger than a chunk
+    never fits).  Allocates nothing on the host. *)
+
 (** {2 Large-object space} *)
 
 val is_large : t -> int -> bool
@@ -28,6 +34,10 @@ val mark_large : t -> int -> bool
 (** Mark the large object containing the address live for the current
     global collection.  Returns [true] on the first marking (the caller
     then scans its fields once). *)
+
+val mark : Heap_index.large -> bool
+(** {!mark_large} of a region the caller already classified with
+    {!Heap_index.region}. *)
 
 val sweep_large : t -> int
 (** Free unmarked large objects and clear marks; returns the number

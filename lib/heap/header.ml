@@ -24,6 +24,18 @@ let forward addr =
 let is_forward w = Int64.logand w 1L = 0L
 let forward_addr w = Int64.to_int w
 
+module Int = struct
+  let is_forward h = h land 1 = 0
+  let forward_addr h = h
+  let id h = (h lsr 1) land max_id
+  let length_words h = (h asr 16) land max_length_words
+
+  let forward addr =
+    if addr = 0 || addr land 7 <> 0 then
+      invalid_arg "Header.forward: bad address";
+    addr
+end
+
 let pp ppf w =
   if is_forward w then Format.fprintf ppf "fwd->%#x" (forward_addr w)
   else Format.fprintf ppf "hdr{id=%d;len=%d}" (id w) (length_words w)

@@ -39,4 +39,21 @@ val forward : int -> int64
 val is_forward : int64 -> bool
 val forward_addr : int64 -> int
 
+(** The same decoding on a header or forwarding word read as an OCaml
+    int ({!Sim_mem.Memory.get_int}), which boxes nothing.  That read
+    keeps bits 0–62 and rejects an odd word whose bit 63 differs from
+    bit 62, so every accessor here agrees with its [int64] namesake on
+    any word the read returns. *)
+module Int : sig
+  val is_forward : int -> bool
+  val forward_addr : int -> int
+  val id : int -> int
+  val length_words : int -> int
+
+  val forward : int -> int
+  (** [forward addr] — the forwarding word pointing at [addr], as an
+      int.  Raises [Invalid_argument] if [addr] is unaligned or zero,
+      as the [int64] [forward] does. *)
+end
+
 val pp : Format.formatter -> int64 -> unit

@@ -55,9 +55,6 @@ let local_owner t addr =
 let find_chunk t addr =
   match region t addr with Global_chunk c -> Some c | _ -> None
 
-let find_large t addr =
-  match region t addr with Large l -> Some l | _ -> None
-
 let is_global t addr =
   match region t addr with
   | Global_chunk _ | Large _ -> true

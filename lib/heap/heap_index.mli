@@ -62,7 +62,6 @@ val local_owner : t -> int -> int option
 (** Which vproc's local heap holds the address, if any. *)
 
 val find_chunk : t -> int -> Chunk.t option
-val find_large : t -> int -> large option
 
 val is_global : t -> int -> bool
 (** Chunk or large-object page. *)

@@ -15,11 +15,11 @@ let kind s addr =
   else if id = Header.proxy_id then Proxy
   else Mixed (Descriptor.find s.Store.table id)
 
-let size_words s addr =
-  let h = header s addr in
-  if Header.is_forward h then
+let size_words (s : Store.t) addr =
+  let h = Memory.get_int s.mem addr in
+  if Header.Int.is_forward h then
     invalid_arg "Obj_repr.size_words: forwarding word";
-  Header.length_words h
+  Header.Int.length_words h
 
 let total_bytes s addr = (size_words s addr + 1) * Addr.word_bytes
 let field_addr addr i = addr + ((i + 1) * Addr.word_bytes)
@@ -48,19 +48,22 @@ let init_mixed s ~addr (d : Descriptor.desc) fields =
   set_header s addr (Header.encode ~id:d.id ~length_words:d.size_words);
   Array.iteri (fun i v -> set_field s addr i v) fields
 
-let iter_pointer_slots s addr f =
-  match kind s addr with
-  | Raw | Proxy -> ()
-  | Vector ->
-      let n = size_words s addr in
-      for i = 0 to n - 1 do
-        f (field_addr addr i)
-      done
-  | Mixed d -> d.scan_slots (fun slot -> f (field_addr addr slot))
+(* [kind]'s dispatch on a header read as an int, without building the
+   [kind]: this runs for every object a collector scans. *)
+let iter_pointer_slots (s : Store.t) addr f =
+  let h = Memory.get_int s.mem addr in
+  if Header.Int.is_forward h then
+    invalid_arg "Obj_repr.kind: forwarding word, not an object";
+  let id = Header.Int.id h in
+  if id = Header.vector_id then
+    for i = 0 to Header.Int.length_words h - 1 do
+      f (field_addr addr i)
+    done
+  else if id >= Header.first_mixed_id then
+    (Descriptor.find s.Store.table id).scan_slots (fun slot ->
+        f (field_addr addr slot))
 
 let copy_object (s : Store.t) ~src ~dst =
   let bytes = total_bytes s src in
-  for i = 0 to (bytes / Addr.word_bytes) - 1 do
-    Memory.set s.mem (dst + (i * 8)) (Memory.get s.mem (src + (i * 8)))
-  done;
+  Memory.copy s.mem ~src ~dst ~bytes;
   bytes

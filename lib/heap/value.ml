@@ -27,6 +27,7 @@ let unit = of_int 0
 let of_bool b = of_int (if b then 1 else 0)
 let to_bool v = to_int v <> 0
 let to_word v = Int64.of_int v
+let to_int_word v = v
 
 let of_int_word v =
   if v land 1 = 1 then v

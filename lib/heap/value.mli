@@ -44,5 +44,8 @@ val of_int_word : int -> t
     raises [Invalid_argument] on a null or unaligned pointer, as
     {!of_word} does. *)
 
+val to_int_word : t -> int
+(** {!to_word} as an int, for [Sim_mem.Memory.set_int]. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -35,6 +35,23 @@ val service_ns : t -> bytes:int -> float
     The remainder of the charge is queueing overflow, which cannot be
     hidden. *)
 
+type req = {
+  mutable at_ns : float;  (** in: when the transfer starts *)
+  mutable service : float;  (** out: {!service_ns} *)
+  mutable overflow : float;  (** out: the rest of the {!charge} *)
+}
+(** A transfer request and its result.  The record is all floats, which
+    OCaml stores flat, so filling it boxes nothing; a float passed to or
+    returned from a function in another module is boxed. *)
+
+val req : unit -> req
+(** A zeroed request cell, reused for every transfer. *)
+
+val transfer : t -> req -> bytes:int -> unit
+(** {!charge} at the request's [at_ns], with the delay written into the
+    request split as {!service_ns} and the overflow beyond it.  The
+    per-access path uses this; it allocates nothing on the host. *)
+
 val utilization : t -> now_ns:float -> float
 (** Offered load over capacity for the window containing [now_ns]
     (may exceed 1 under overload). *)

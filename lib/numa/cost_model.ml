@@ -5,6 +5,10 @@ let line_bytes = 64
    a library boundary would be boxed on every access. *)
 type cost = { mutable ns : float }
 
+(* A line fill's delay through the shared resources, split the same way
+   and stored flat for the same reason. *)
+type fill = { mutable service : float; mutable overflow : float }
+
 type t = {
   topo : Topology.t;
   vproc_node : int array;
@@ -15,6 +19,9 @@ type t = {
   l2_hit_ns : float;
   l3_hit_ns : float;
   out : cost; (* the result cell [access] and [bulk] return *)
+  fill : fill; (* the result cell [transfer_delay] writes *)
+  bank_req : Contention.req;
+  link_req : Contention.req;
 }
 
 let create ?(cap_scale = 1.) topo ~n_vprocs ~vproc_node =
@@ -40,6 +47,9 @@ let create ?(cap_scale = 1.) topo ~n_vprocs ~vproc_node =
     l2_hit_ns = 12. /. topo.Topology.ghz;
     l3_hit_ns = 40. /. topo.Topology.ghz;
     out = { ns = 0. };
+    fill = { service = 0.; overflow = 0. };
+    bank_req = Contention.req ();
+    link_req = Contention.req ();
   }
 
 let topology t = t.topo
@@ -48,22 +58,29 @@ let vproc_node t v = t.vproc_node.(v)
 (* Service and queueing-overflow delays through the shared resources a
    transfer crosses: the destination bank always, plus the interconnect
    link when the request leaves its node.  Service is pipelinable (a
-   prefetch stream hides it under latency); overflow is not. *)
-let transfer_delay t ~src ~dst ~now_ns =
-  let bank_d = Contention.charge t.banks.(dst) ~now_ns ~bytes:line_bytes in
-  let bank_s = Contention.service_ns t.banks.(dst) ~bytes:line_bytes in
-  if src = dst then (bank_s, bank_d -. bank_s)
+   prefetch stream hides it under latency); overflow is not.  The two
+   land in [t.fill], overwritten by the next call.  Inlined, like
+   [line_fill], so the clock reaches the request cells unboxed. *)
+let[@inline] transfer_delay t ~src ~dst ~now_ns =
+  let bank = t.bank_req in
+  bank.at_ns <- now_ns;
+  Contention.transfer t.banks.(dst) bank ~bytes:line_bytes;
+  if src = dst then begin
+    t.fill.service <- bank.service;
+    t.fill.overflow <- bank.overflow
+  end
   else begin
-    let link = t.links.(src).(dst) in
-    let link_d = Contention.charge link ~now_ns ~bytes:line_bytes in
-    let link_s = Contention.service_ns link ~bytes:line_bytes in
-    (Float.max bank_s link_s, Float.max (bank_d -. bank_s) (link_d -. link_s))
+    let link = t.link_req in
+    link.at_ns <- now_ns;
+    Contention.transfer t.links.(src).(dst) link ~bytes:line_bytes;
+    t.fill.service <- Float.max bank.service link.service;
+    t.fill.overflow <- Float.max bank.overflow link.overflow
   end
 
 (* Cost of one line fill from memory, with contention. *)
-let line_fill t ~src ~dst ~now_ns =
-  let service, overflow = transfer_delay t ~src ~dst ~now_ns in
-  t.topo.Topology.latency.(src).(dst) +. service +. overflow
+let[@inline] line_fill t ~src ~dst ~now_ns =
+  transfer_delay t ~src ~dst ~now_ns;
+  t.topo.Topology.latency.(src).(dst) +. t.fill.service +. t.fill.overflow
 
 let access t ~vproc ~dst_node ~addr ~bytes ~now_ns =
   let src = t.vproc_node.(vproc) in
@@ -111,10 +128,8 @@ let bulk t ~vproc ~dst_node ~addr ~bytes ~now_ns =
            saturated bank or link cannot be hidden. *)
         let lat = t.topo.Topology.latency.(src).(dst_node) in
         let lat = if full then lat else lat /. float_of_int depth in
-        let service, overflow =
-          transfer_delay t ~src ~dst:dst_node ~now_ns:(now_ns +. !cost)
-        in
-        Float.max lat service +. overflow
+        transfer_delay t ~src ~dst:dst_node ~now_ns:(now_ns +. !cost);
+        Float.max lat t.fill.service +. t.fill.overflow
       end
     in
     cost := !cost +. c

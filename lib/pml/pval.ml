@@ -82,8 +82,9 @@ let arr_length ctx m v =
        before the header-based dispatch. *)
     let addr = Value.to_ptr (Ctx.resolve ctx m v) in
     let h = Ctx.header_of ctx m addr in
-    let id = Header.id h in
-    if id = Header.vector_id || id = Header.raw_id then Header.length_words h
+    let id = Header.Int.id h in
+    if id = Header.vector_id || id = Header.raw_id then
+      Header.Int.length_words h
     else node_size ctx m v
   end
 
@@ -99,7 +100,7 @@ let farr_node = arr_node
 
 let is_node ctx m v =
   (not (Value.is_int v))
-  && Header.id (Ctx.header_of ctx m (Value.to_ptr (Ctx.resolve ctx m v)))
+  && Header.Int.id (Ctx.header_of ctx m (Value.to_ptr (Ctx.resolve ctx m v)))
      >= Header.first_mixed_id
 
 (* Build a leaf vector of [hi - lo] elements of [f], rooting the interim
@@ -198,7 +199,9 @@ let rec farr_get ctx m v i =
 let flatten_max = 64
 
 let leaf_kind ctx m v =
-  let id = Header.id (Ctx.header_of ctx m (Value.to_ptr (Ctx.resolve ctx m v))) in
+  let id =
+    Header.Int.id (Ctx.header_of ctx m (Value.to_ptr (Ctx.resolve ctx m v)))
+  in
   if id = Header.vector_id then `Vec
   else if id = Header.raw_id then `Raw
   else `Node

@@ -886,81 +886,121 @@ type move =
       (* thief, victim, and the vprocs probed empty on the way to the
          victim — counted as failed attempts only if this move executes *)
 
-let next_move t =
-  let best = ref None in
-  let consider key mv =
-    match !best with
-    | Some (k, _) when k <= key -> ()
-    | _ -> best := Some (key, mv)
-  in
-  (* Victims for stealing, in deterministic rotated order per thief. *)
+(* Which candidate [next_move] holds as the best so far. *)
+type move_kind = No_move | Task | Own | Steal
+
+(* [Near_first]'s pass for a victim: same node, same package, remote. *)
+let tier topo thief victim =
+  match
+    Numa.Topology.distance_class topo thief.mut.Ctx.node victim.mut.Ctx.node
+  with
+  | `Local -> 0
+  | `Same_package -> 1
+  | `Cross_package -> 2
+
+(* [thief]'s probe order from its random [start], walked by position:
+   the vproc probed at position [p], or -1 for a skipped position.
+   [Random_victim] probes every vproc in rotated order, one per
+   position.  [Near_first] makes three passes over the same rotated
+   order, one per [tier], and skips a position whose vproc belongs to
+   another pass.  The thief itself is always skipped. *)
+let probe t topo thief start p =
   let n = Array.length t.vprocs in
-  Array.iter
-    (fun v ->
-      (match Queue.peek_opt v.runnable with
-      | Some task ->
-          consider (Float.max v.mut.Ctx.now_ns task.ready_ns) (Run_task v)
-      | None -> ());
-      if not (Deque.is_empty v.deque) then
-        consider v.mut.Ctx.now_ns (Run_own v))
-    t.vprocs;
+  let v = (start + (p mod n)) mod n in
+  if v = thief.v_id then -1
+  else
+    match t.steal_policy with
+    | Random_victim -> v
+    | Near_first -> if tier topo thief t.vprocs.(v) = p / n then v else -1
+
+(* The position of the first victim whose deque holds work, or -1. *)
+let hunt t topo thief start =
+  let n = Array.length t.vprocs in
+  let probes =
+    match t.steal_policy with Random_victim -> n | Near_first -> 3 * n
+  in
+  let p = ref 0 and found = ref (-1) in
+  while !found < 0 && !p < probes do
+    let v = probe t topo thief start !p in
+    if v >= 0 && not (Deque.is_empty t.vprocs.(v).deque) then found := !p;
+    incr p
+  done;
+  !found
+
+(* The move with the earliest start; a candidate beats the best so far
+   only if strictly earlier, so the earlier one keeps a tie.  Candidates
+   come in a fixed order: each vproc's runnable task and then its own
+   deque, for every vproc, then every idle thief's steal.  The best so
+   far is kept unboxed in locals and the move is built only for the
+   winner, so the hunts allocate nothing.
+   Each idle vproc draws one random start per call, in vproc order,
+   whether or not its steal wins (DESIGN.md §14).  The draw is what makes
+   the hunt speculative: [next_move] may run it many times before any
+   state changes, so nothing is recorded here, and [run_move] counts the
+   probes of the steal that executes, exactly once. *)
+let next_move t =
+  let n = Array.length t.vprocs in
+  let best = ref No_move and best_key = ref 0. and best_v = ref 0 in
+  let best_start = ref 0 and best_pos = ref 0 in
+  for i = 0 to n - 1 do
+    let v = t.vprocs.(i) in
+    if not (Queue.is_empty v.runnable) then begin
+      let key = Float.max v.mut.Ctx.now_ns (Queue.peek v.runnable).ready_ns in
+      if !best = No_move || not (!best_key <= key) then begin
+        best := Task;
+        best_key := key;
+        best_v := i
+      end
+    end;
+    if not (Deque.is_empty v.deque) then begin
+      let key = v.mut.Ctx.now_ns in
+      if !best = No_move || not (!best_key <= key) then begin
+        best := Own;
+        best_key := key;
+        best_v := i
+      end
+    end
+  done;
   (* Idle vprocs try to steal.  The default victim choice is uniformly
      random (the paper's scheduler); [Near_first] prefers victims whose
      node shares the thief's package, so stolen work's promoted data
      crosses the cheap intra-package link — an extension worth an
      ablation on the AMD machine's asymmetric interconnect. *)
   let topo = Numa.Cost_model.topology t.c.Ctx.cost in
-  Array.iter
-    (fun thief ->
-      if Queue.is_empty thief.runnable && Deque.is_empty thief.deque then begin
-        let start = Random.State.int t.rng n in
-        let order =
-          match t.steal_policy with
-          | Random_victim -> List.init n (fun i -> (start + i) mod n)
-          | Near_first ->
-              (* Three-tier preference (ROADMAP item 3): same-node
-                 victims first, then the rest of the thief's package,
-                 then remote packages — each tier in the rotated
-                 deterministic order. *)
-              let all = List.init n (fun i -> (start + i) mod n) in
-              let tier v =
-                match
-                  Numa.Topology.distance_class topo thief.mut.Ctx.node
-                    t.vprocs.(v).mut.Ctx.node
-                with
-                | `Local -> 0
-                | `Same_package -> 1
-                | `Cross_package -> 2
-              in
-              let near, rest = List.partition (fun v -> tier v = 0) all in
-              let mid, far = List.partition (fun v -> tier v = 1) rest in
-              near @ mid @ far
-        in
-        (* The hunt is speculative: [next_move] may run it many times
-           before any state changes, and the chosen move may not be this
-           thief's.  So nothing is recorded here — the empty deques
-           probed on the way to the victim ride along in the move, and
-           [run_move] counts them exactly once, when the hunt is the
-           move that actually executes. *)
-        let rec hunt empties = function
-          | [] -> ()
-          | v :: rest -> begin
-              let victim = t.vprocs.(v) in
-              if victim.v_id = thief.v_id then hunt empties rest
-              else
-                match Deque.peek_front victim.deque with
-                | Some oldest ->
-                    (* The steal cannot happen before the item existed. *)
-                    consider
-                      (Float.max thief.mut.Ctx.now_ns oldest.pushed_ns)
-                      (Run_steal (thief, victim, List.rev empties))
-                | None -> hunt (victim.v_id :: empties) rest
+  for i = 0 to n - 1 do
+    let thief = t.vprocs.(i) in
+    if Queue.is_empty thief.runnable && Deque.is_empty thief.deque then begin
+      let start = Random.State.int t.rng n in
+      let pos = hunt t topo thief start in
+      if pos >= 0 then
+        let victim = t.vprocs.(probe t topo thief start pos) in
+        match Deque.peek_front victim.deque with
+        | Some oldest ->
+            (* The steal cannot happen before the item existed. *)
+            let key = Float.max thief.mut.Ctx.now_ns oldest.pushed_ns in
+            if !best = No_move || not (!best_key <= key) then begin
+              best := Steal;
+              best_key := key;
+              best_v := i;
+              best_start := start;
+              best_pos := pos
             end
-        in
-        hunt [] order
-      end)
-    t.vprocs;
-  !best
+        | None -> ()
+    end
+  done;
+  match !best with
+  | No_move -> None
+  | Task -> Some (Run_task t.vprocs.(!best_v))
+  | Own -> Some (Run_own t.vprocs.(!best_v))
+  | Steal ->
+      (* Every vproc probed before the victim's position was empty. *)
+      let thief = t.vprocs.(!best_v) in
+      let probed = probe t topo thief !best_start in
+      Some
+        (Run_steal
+           ( thief,
+             t.vprocs.(probed !best_pos),
+             List.filter (fun v -> v >= 0) (List.init !best_pos probed) ))
 
 let run_move t = function
   | Run_task v -> (
@@ -1037,7 +1077,7 @@ let run t ~main =
                end);
         begin
           match next_move t with
-          | Some (_, mv) ->
+          | Some mv ->
               run_move t mv;
               loop ()
           | None ->

@@ -137,6 +137,16 @@ val run : t -> main:(Ctx.mutator -> Value.t) -> Value.t
     until it completes.  Returns its (globalized) result; re-raises its
     exception.  Raises [Failure] on deadlock. *)
 
+type move
+(** One scheduling decision: run a vproc's runnable task, pop its own
+    deque, or steal. *)
+
+val next_move : t -> move option
+(** The decision {!run} takes next, without taking it: the candidate
+    with the earliest start, the earlier one on a tie.  Each idle vproc
+    draws its random probe start here, as in {!run}, so calling it
+    advances the steal RNG.  Exposed to measure the choice's host cost. *)
+
 val elapsed_ns : t -> float
 (** Virtual makespan of the last {!run}: the largest vproc clock when the
     main fiber completed. *)

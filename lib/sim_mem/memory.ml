@@ -54,6 +54,15 @@ let get_int t addr =
 
 let set t addr v = Bigarray.Array1.set t.words (Addr.word_index addr) v
 
+let set_int t addr v =
+  Bigarray.Array1.set t.words (Addr.word_index addr) (Int64.of_int v)
+
+let copy t ~src ~dst ~bytes =
+  let s = Addr.word_index src and d = Addr.word_index dst in
+  for i = 0 to (bytes / 8) - 1 do
+    Bigarray.Array1.set t.words (d + i) (Bigarray.Array1.get t.words (s + i))
+  done
+
 let is_mapped t addr =
   let p = page_of_addr t addr in
   p >= 0

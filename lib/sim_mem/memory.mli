@@ -34,6 +34,17 @@ val get_int : t -> int -> int
 
 val set : t -> int -> int64 -> unit
 
+val set_int : t -> int -> int -> unit
+(** [set_int t addr v] is [set t addr (Int64.of_int v)], written without
+    boxing an [int64]: the store for tagged words (values and
+    forwarding addresses).  Checks [addr] as {!get} does. *)
+
+val copy : t -> src:int -> dst:int -> bytes:int -> unit
+(** [copy t ~src ~dst ~bytes] copies [bytes / 8] words from [src] to
+    [dst], one at a time in ascending order (so a copy to a lower,
+    overlapping address is safe), without boxing them.  Checks both
+    addresses as {!get} does. *)
+
 val node_of_addr : t -> int -> int
 (** NUMA node owning the page containing [addr].  Raises
     [Invalid_argument] for an unmapped address. *)

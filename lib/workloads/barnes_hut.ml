@@ -28,7 +28,8 @@ let alloc_particle c m ~mass ~x ~y ~vx ~vy =
   p
 
 let pfloat c m p i = Ctx.get_float c m (Value.to_ptr p) i
-let is_particle c m v = Header.id (Ctx.header_of c m (Value.to_ptr v)) = Header.raw_id
+let is_particle c m v =
+  Header.Int.id (Ctx.header_of c m (Value.to_ptr v)) = Header.raw_id
 
 (* Tree nodes: mixed [mass; mx; my; q0; q1; q2; q3] where mx, my are
    mass-weighted position sums (associative under insertion). *)

@@ -68,6 +68,31 @@ let prop_forward_roundtrip =
       let f = Header.forward addr in
       Header.is_forward f && Header.forward_addr f = addr)
 
+(* The int accessors decode a word exactly as the int64 ones do,
+   whenever the word reads as an int (bits 63 and 62 agree). *)
+let prop_int_agrees =
+  QCheck.Test.make ~name:"int accessors agree with int64" ~count:1000
+    QCheck.(pair (int_bound Header.max_id) (int_bound ((1 lsl 46) - 1)))
+    (fun (id, len) ->
+      let h = Header.encode ~id ~length_words:len in
+      let i = Int64.to_int h in
+      Int64.of_int i = h
+      && Header.Int.is_forward i = Header.is_forward h
+      && Header.Int.id i = Header.id h
+      && Header.Int.length_words i = Header.length_words h
+      &&
+      let f = Header.forward ((id + 1) * 8) in
+      Header.Int.forward ((id + 1) * 8) = Int64.to_int f
+      && Header.Int.is_forward (Int64.to_int f)
+      && Header.Int.forward_addr (Int64.to_int f) = Header.forward_addr f)
+
+let test_int_forward_rejects () =
+  Alcotest.check_raises "unaligned"
+    (Invalid_argument "Header.forward: bad address") (fun () ->
+      ignore (Header.Int.forward 0x1234));
+  Alcotest.check_raises "null" (Invalid_argument "Header.forward: bad address")
+    (fun () -> ignore (Header.Int.forward 0))
+
 let suite =
   ( "header",
     [
@@ -79,4 +104,7 @@ let suite =
       Alcotest.test_case "low-bit discrimination" `Quick test_low_bit_discrimination;
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_forward_roundtrip;
+      QCheck_alcotest.to_alcotest prop_int_agrees;
+      Alcotest.test_case "int forwarding words reject bad addresses" `Quick
+        test_int_forward_rejects;
     ] )

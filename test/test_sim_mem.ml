@@ -22,6 +22,26 @@ let test_memory_rw () =
     (Invalid_argument "Memory.get_int: odd word does not fit in an int")
     (fun () -> ignore (Memory.get_int m 4104))
 
+let test_memory_int_store_and_copy () =
+  let m = mk_mem () in
+  Memory.map_pages m ~first_page:1 ~n_pages:2 ~node_of_page:(fun _ -> 0);
+  Memory.set_int m 4096 (-7);
+  Alcotest.(check int64) "int store widens as Int64.of_int" (-7L)
+    (Memory.get m 4096);
+  Alcotest.check_raises "unaligned store"
+    (Invalid_argument "Addr.word_index: unaligned") (fun () ->
+      Memory.set_int m 4100 1);
+  for i = 0 to 3 do
+    Memory.set_int m (4096 + (i * 8)) (i + 1)
+  done;
+  (* Overlapping, to a lower address: ascending word order is safe. *)
+  Memory.copy m ~src:4104 ~dst:4096 ~bytes:24;
+  Alcotest.(check (list int)) "copied down" [ 2; 3; 4; 4 ]
+    (List.init 4 (fun i -> Memory.get_int m (4096 + (i * 8))));
+  Alcotest.check_raises "unaligned copy"
+    (Invalid_argument "Addr.word_index: unaligned") (fun () ->
+      Memory.copy m ~src:4100 ~dst:4096 ~bytes:8)
+
 let test_memory_node_lookup () =
   let m = mk_mem () in
   Memory.map_pages m ~first_page:1 ~n_pages:4 ~node_of_page:(fun p -> p mod 4);
@@ -181,6 +201,8 @@ let suite =
   ( "sim_mem",
     [
       Alcotest.test_case "memory read/write" `Quick test_memory_rw;
+      Alcotest.test_case "int stores and word copies" `Quick
+        test_memory_int_store_and_copy;
       Alcotest.test_case "node lookup" `Quick test_memory_node_lookup;
       Alcotest.test_case "unmap" `Quick test_memory_unmap;
       Alcotest.test_case "double map rejected" `Quick test_double_map_rejected;
